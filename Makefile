@@ -7,7 +7,7 @@ TIER1_TIMEOUT ?= 120
 # Budget for the scenario-matrix smoke run (seconds).
 SCENARIOS_TIMEOUT ?= 300
 
-.PHONY: test tier1 lint lint-baseline bench bench-detection examples scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke
+.PHONY: test tier1 lint lint-baseline bench bench-detection examples scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke bench-selftest
 
 ## Tier-1 unit suite (tests/ only; benchmarks/ are excluded via pytest.ini).
 test: tier1
@@ -86,6 +86,12 @@ fleet-smoke:
 mega-smoke:
 	$(PYTHON) -m pytest -q tests/test_mega_batch.py -k \
 	  "TestModeParity or TestPoolMechanics"
+
+## Benchmark-harness self-test: reporting-rule unit checks, then every
+## BENCHMARK.json workload at tiny sizes, traced and untraced (~90 s on
+## 2 vCPUs).  Fails when a refactor breaks a harness hook.
+bench-selftest:
+	$(PYTHON) perfbench/selftest.py --runs
 
 ## Smoke-run every example end to end (slowest last; ~minutes on a CPU).
 examples:

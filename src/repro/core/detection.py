@@ -10,32 +10,32 @@ outer loop:
    "shortcut"), using the median-absolute-deviation (MAD) anomaly index from
    the Neural Cleanse paper.
 
-**Batched outer loop.**  By default :meth:`detect` runs all K candidate
-classes as *one* joint optimization: subclasses that implement
-:meth:`TriggerReverseEngineeringDetector.reverse_engineer_batch` (all three
-in-tree detectors do, via the shared
-:class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer` engine)
-stack the K ``(pattern, mask)`` parameters and amortize every model
-forward/backward across classes on a ``(K·B, C, H, W)`` mega-batch.  The
-Alg. 2 refinement loss is a sum of independent per-class terms, so given the
-same per-class starting points the refinement matches the sequential loop up
-to floating-point reduction order (NC/TABOR additionally draw their random
-inits in the same order, making the two modes near-identical end to end).
-USB's batched Alg. 1 stage, however, shares one shuffle per sweep across
-classes instead of consuming the RNG per class, so its UAP seeds — and hence
-per-class trigger norms — differ from the sequential path in their random
-stream, not just in rounding; flagged classes are expected to agree, with
-anomaly indices within a small tolerance (tracked by the Table 7 harness).
-``detect`` falls back to the sequential per-class loop when the subclass
-provides no batched path, when only one class is scanned, or when
-``batched=False`` is passed explicitly (e.g. for per-class wall-clock
-measurements or A/B validation of the two paths).
+**Joint outer loop.**  By default :meth:`detect` runs all K candidate
+classes as *one* joint optimization (``mode="batched"``): the detector's
+:meth:`TriggerReverseEngineeringDetector._mega_inits` supplies the K starting
+points, and :class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer`
+runs them through the mega work-item pool (:mod:`repro.core.mega`) with the
+budget cascade off, amortizing every model forward/backward across classes on
+a ``(K·B, C, H, W)`` mega-batch.  ``mode="mega"`` uses the same pool with the
+coarse-to-fine cascade.  The Alg. 2 refinement loss is a sum of independent
+per-class terms, so given the same per-class starting points the refinement
+matches the sequential loop up to floating-point reduction order (NC/TABOR
+additionally draw their random inits in the same order, making the two modes
+near-identical end to end).  USB's joint Alg. 1 stage, however, shares one
+shuffle per sweep across classes instead of consuming the RNG per class, so
+its UAP seeds — and hence per-class trigger norms — differ from the
+sequential path in their random stream, not just in rounding; flagged classes
+are expected to agree, with anomaly indices within a small tolerance (tracked
+by the Table 7 harness).  ``detect`` falls back to the sequential per-class
+loop when the subclass provides no ``_mega_inits``, when only one class is
+scanned, or when ``mode="sequential"`` is passed (e.g. for per-class
+wall-clock measurements or A/B validation of the two paths).
 
 This module provides the data structures, the MAD outlier test, and the
 :class:`TriggerReverseEngineeringDetector` base class implementing both outer
 loops; concrete detectors implement
 :meth:`TriggerReverseEngineeringDetector.reverse_engineer` (and usually
-:meth:`TriggerReverseEngineeringDetector.reverse_engineer_batch`).
+:meth:`TriggerReverseEngineeringDetector._mega_inits`).
 """
 
 from __future__ import annotations
@@ -58,10 +58,7 @@ from .mega import (
     MegaTask,
     run_mega_inversion,
 )
-from .trigger_optimizer import (
-    BatchedTriggerMaskOptimizer,
-    TriggerOptimizationConfig,
-)
+from .trigger_optimizer import BatchedTriggerMaskOptimizer
 
 __all__ = [
     "ScanPair",
@@ -74,19 +71,16 @@ __all__ = [
 ]
 
 #: Inversion execution modes accepted by :meth:`detect` (and the service's
-#: ``--inversion-mode`` flag): the sequential per-class loop, the class-batched
-#: engine, and the work-item-pool mega path with its budget cascade.
+#: ``--inversion-mode`` flag): the sequential per-class loop, and the
+#: work-item pool without (``batched``) or with (``mega``) its budget cascade.
 INVERSION_MODES = ("sequential", "batched", "mega")
 
 
-def _resolve_inversion_mode(mode: Optional[str], batched: bool) -> str:
-    """Fold the legacy ``batched`` flag and the new ``mode`` into one value."""
-    if mode is None:
-        return "batched" if batched else "sequential"
-    if mode not in INVERSION_MODES:
-        raise ValueError(f"Unknown inversion mode '{mode}'. "
-                         f"Available: {', '.join(INVERSION_MODES)}")
-    return mode
+def _engine_metadata(engine: str) -> Dict[str, float]:
+    """Verdict metadata flags naming the inversion engine that ran."""
+    return {"batched": 0.0 if engine == "sequential" else 1.0,
+            "mega": 1.0 if engine == "mega" else 0.0}
+
 
 #: A (source, target) scan cell.  ``source`` is ``None`` for the classic
 #: unconditional scan (trigger optimized over clean data from all classes);
@@ -153,6 +147,17 @@ class ReversedTrigger:
     def mask_l1(self) -> float:
         """L1 norm of the mask alone (Neural Cleanse's original metric)."""
         return float(np.abs(self.mask).sum())
+
+
+def _to_triggers(targets: Sequence[int], results: Sequence[Any],
+                 source: Optional[int] = None,
+                 seconds: float = 0.0) -> List[ReversedTrigger]:
+    """Wrap per-class optimization results as :class:`ReversedTrigger`."""
+    return [ReversedTrigger(target_class=int(target), pattern=result.pattern,
+                            mask=result.mask, success_rate=result.success_rate,
+                            seconds=seconds, iterations=result.iterations,
+                            source_class=source)
+            for target, result in zip(targets, results)]
 
 
 @dataclass
@@ -384,25 +389,19 @@ class TriggerReverseEngineeringDetector:
                                ) -> Optional[List[ReversedTrigger]]:
         """Jointly reconstruct triggers for all ``target_classes`` at once.
 
-        Returns ``None`` when the detector has no batched implementation, in
-        which case :meth:`detect` falls back to the sequential per-class loop.
+        Runs the :meth:`_mega_inits` starting points through
+        :class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer`
+        (the work-item pool at full budget for every class).  Returns
+        ``None`` when the detector has no ``_mega_inits``, in which case
+        :meth:`detect` falls back to the sequential per-class loop.
         """
-        return None
-
-    def _optimize_triggers_batched(
-            self, model: Module, target_classes: Sequence[int],
-            inits: Sequence[Tuple[np.ndarray, np.ndarray]],
-            config: TriggerOptimizationConfig) -> List[ReversedTrigger]:
-        """Shared Alg. 2 mega-batch refinement used by the batched detectors."""
-        engine = BatchedTriggerMaskOptimizer(model, self.clean_data.images,
-                                             target_classes, config=config)
-        results = engine.optimize(inits)
-        return [
-            ReversedTrigger(target_class=target, pattern=result.pattern,
-                            mask=result.mask, success_rate=result.success_rate,
-                            iterations=result.iterations)
-            for target, result in zip(target_classes, results)
-        ]
+        prepared = self._mega_inits(model, list(target_classes))
+        if prepared is None:
+            return None
+        inits, config, _ = prepared
+        results = BatchedTriggerMaskOptimizer(
+            model, self.clean_data.images, target_classes, config).optimize(inits)
+        return _to_triggers(target_classes, results)
 
     # ------------------------------------------------------------------ #
     # Mega path: work-item pool + budget cascade
@@ -460,7 +459,7 @@ class TriggerReverseEngineeringDetector:
 
         Returns ``None`` when the detector provides no mega starting points
         (:meth:`_mega_inits`), in which case :meth:`detect` falls back to the
-        class-batched engine.
+        sequential per-class loop.
         """
         task = self._mega_task(model, target_classes)
         if task is None:
@@ -469,12 +468,41 @@ class TriggerReverseEngineeringDetector:
         [results] = run_mega_inversion(
             [task], cascade=self.mega_cascade, pool=self.mega_pool,
             cache=self.activation_cache, stats=self.last_mega_stats)
-        return [
-            ReversedTrigger(target_class=int(target), pattern=result.pattern,
-                            mask=result.mask, success_rate=result.success_rate,
-                            iterations=result.iterations)
-            for target, result in zip(task.target_classes, results)
-        ]
+        return _to_triggers(task.target_classes, results)
+
+    def invert_classes(self, model: Module, class_list: List[int],
+                       mode: str) -> Tuple[List[ReversedTrigger], str]:
+        """Reverse-engineer ``class_list`` with the engine ``mode`` selects.
+
+        The joint engines (``"batched"``, ``"mega"``) need more than one
+        class and a detector with :meth:`_mega_inits`; otherwise the
+        sequential per-class loop runs.  Joint triggers carry the wall clock
+        split evenly across classes, sequential ones their own timing.
+        Returns the triggers and the engine that produced them.
+        """
+        if mode not in INVERSION_MODES:
+            raise ValueError(f"Unknown inversion mode '{mode}'. "
+                             f"Available: {', '.join(INVERSION_MODES)}")
+        if mode != "sequential" and len(class_list) > 1:
+            start = time.perf_counter()
+            joint = (self.reverse_engineer_mega if mode == "mega"
+                     else self.reverse_engineer_batch)
+            triggers = joint(model, class_list)
+            if triggers is not None:
+                per_class = (time.perf_counter() - start) / len(triggers)
+                for trigger in triggers:
+                    trigger.seconds = per_class
+                return triggers, mode
+        triggers = []
+        for target in class_list:
+            t0 = time.perf_counter()
+            trigger = self.reverse_engineer(model, target)
+            trigger.seconds = time.perf_counter() - t0
+            triggers.append(trigger)
+            _LOG.debug("%s class %d: L1=%.3f success=%.2f (%.1fs)",
+                       self.name, target, trigger.l1_norm,
+                       trigger.success_rate, trigger.seconds)
+        return triggers, "sequential"
 
     # ------------------------------------------------------------------ #
     # Scenario support: source-restricted clean data
@@ -513,17 +541,15 @@ class TriggerReverseEngineeringDetector:
     # ------------------------------------------------------------------ #
     def detect(self, model: Module,
                classes: Optional[Sequence[int]] = None,
-               batched: bool = True,
                pairs: Optional[Sequence[ScanPair]] = None,
-               mode: Optional[str] = None) -> DetectionResult:
+               mode: str = "batched") -> DetectionResult:
         """Run reverse engineering for every class and apply the outlier test.
 
         ``mode`` selects the inversion engine (:data:`INVERSION_MODES`):
-        ``"sequential"`` runs the per-class loop, ``"batched"`` the stacked
-        class-batched engine, ``"mega"`` the work-item pool with its budget
-        cascade.  When ``mode`` is omitted the legacy ``batched`` flag picks
-        between sequential and batched.  Modes degrade gracefully: a detector
-        without the requested fast path falls back to the next one down.
+        ``"sequential"`` runs the per-class loop, ``"batched"`` the
+        work-item pool at full budget for every class, ``"mega"`` the pool
+        with its budget cascade.  A detector without the joint path (no
+        :meth:`_mega_inits`), or a single-class scan, runs sequentially.
 
         ``pairs`` switches to the scenario-aware pair mode: each ``(source,
         target)`` cell is reverse-engineered with the clean data restricted
@@ -531,7 +557,6 @@ class TriggerReverseEngineeringDetector:
         runs over the pair norms, and the result carries per-pair anomaly
         indices and flagged pairs alongside the per-class aggregation.
         """
-        mode = _resolve_inversion_mode(mode, batched)
         model.eval()
         was_grad = [p.requires_grad for p in model.parameters()]
         model.requires_grad_(False)
@@ -540,45 +565,16 @@ class TriggerReverseEngineeringDetector:
                 return self._detect_pairs(model, pairs, mode)
             class_list = list(classes) if classes is not None else list(
                 range(self.clean_data.num_classes))
-            triggers: Optional[List[ReversedTrigger]] = None
             start = time.perf_counter()
-            used_batched = False
-            used_mega = False
             with _tspan("inversion", detector=self.name,
                         classes=len(class_list)) as inv_span:
-                if mode == "mega" and len(class_list) > 1:
-                    triggers = self.reverse_engineer_mega(model, class_list)
-                    used_mega = triggers is not None
-                if (triggers is None and mode != "sequential"
-                        and len(class_list) > 1):
-                    triggers = self.reverse_engineer_batch(model, class_list)
-                    used_batched = triggers is not None
-                if triggers is None:
-                    triggers = []
-                    for target in class_list:
-                        t0 = time.perf_counter()
-                        trigger = self.reverse_engineer(model, target)
-                        trigger.seconds = time.perf_counter() - t0
-                        triggers.append(trigger)
-                        _LOG.debug("%s class %d: L1=%.3f success=%.2f (%.1fs)",
-                                   self.name, target, trigger.l1_norm,
-                                   trigger.success_rate, trigger.seconds)
+                triggers, engine = self.invert_classes(model, class_list, mode)
                 if inv_span is not None:
-                    inv_span.attrs["engine"] = ("mega" if used_mega else
-                                                "batched" if used_batched
-                                                else "sequential")
-            total_seconds = time.perf_counter() - start
-            if used_batched or used_mega:
-                # Joint optimization amortizes the wall clock across classes.
-                per_class = total_seconds / max(len(triggers), 1)
-                for trigger in triggers:
-                    trigger.seconds = per_class
-
-            metadata = {"batched": 1.0 if (used_batched or used_mega) else 0.0,
-                        "mega": 1.0 if used_mega else 0.0}
+                    inv_span.attrs["engine"] = engine
             return _classic_result(self.name, class_list, triggers,
-                                   self.anomaly_threshold, total_seconds,
-                                   metadata)
+                                   self.anomaly_threshold,
+                                   time.perf_counter() - start,
+                                   _engine_metadata(engine))
         finally:
             for param, flag in zip(model.parameters(), was_grad):
                 param.requires_grad = flag
@@ -596,8 +592,7 @@ class TriggerReverseEngineeringDetector:
         pair_list, groups = _normalize_pairs(pairs)
 
         start = time.perf_counter()
-        used_batched = False
-        used_mega = False
+        engine = "sequential"
         by_pair: Dict[ScanPair, ReversedTrigger] = {}
         if mode == "mega":
             tasks: List[MegaTask] = []
@@ -612,43 +607,22 @@ class TriggerReverseEngineeringDetector:
                 tasks.append(task)
                 task_groups.append((source, targets))
             if tasks:
-                used_mega = True
+                engine = "mega"
                 self.last_mega_stats = {}
                 results = run_mega_inversion(
                     tasks, cascade=self.mega_cascade, pool=self.mega_pool,
                     cache=self.activation_cache, stats=self.last_mega_stats)
                 for (source, targets), task_results in zip(task_groups,
                                                            results):
-                    for target, result in zip(targets, task_results):
-                        by_pair[(source, target)] = ReversedTrigger(
-                            target_class=int(target), pattern=result.pattern,
-                            mask=result.mask,
-                            success_rate=result.success_rate,
-                            iterations=result.iterations,
-                            source_class=source)
+                    for trigger in _to_triggers(targets, task_results, source):
+                        by_pair[trigger.pair] = trigger
         if not by_pair:
             for source, targets in groups.items():
-                group_start = time.perf_counter()
                 with self._restricted_clean(source):
-                    group_triggers: Optional[List[ReversedTrigger]] = None
-                    if mode != "sequential" and len(targets) > 1:
-                        group_triggers = self.reverse_engineer_batch(model,
-                                                                     targets)
-                        group_batched = group_triggers is not None
-                        used_batched = used_batched or group_batched
-                    if group_triggers is None:
-                        group_batched = False
-                        group_triggers = []
-                        for target in targets:
-                            t0 = time.perf_counter()
-                            trigger = self.reverse_engineer(model, target)
-                            trigger.seconds = time.perf_counter() - t0
-                            group_triggers.append(trigger)
-                if group_batched:
-                    per_target = ((time.perf_counter() - group_start)
-                                  / len(targets))
-                    for trigger in group_triggers:
-                        trigger.seconds = per_target
+                    group_triggers, group_engine = self.invert_classes(
+                        model, targets, mode)
+                if group_engine != "sequential":
+                    engine = group_engine
                 for target, trigger in zip(targets, group_triggers):
                     trigger.source_class = source
                     by_pair[(source, target)] = trigger
@@ -657,7 +631,7 @@ class TriggerReverseEngineeringDetector:
                                target, trigger.l1_norm, trigger.success_rate)
         triggers = [by_pair[pair] for pair in pair_list]
         total_seconds = time.perf_counter() - start
-        if used_mega:
+        if engine == "mega":
             per_pair = total_seconds / max(len(triggers), 1)
             for trigger in triggers:
                 trigger.seconds = per_pair
@@ -665,9 +639,7 @@ class TriggerReverseEngineeringDetector:
         return _pair_result(
             self.name, pair_list, triggers, self.anomaly_threshold,
             total_seconds,
-            {"batched": 1.0 if (used_batched or used_mega) else 0.0,
-             "mega": 1.0 if used_mega else 0.0,
-             "pair_mode": 1.0,
+            {**_engine_metadata(engine), "pair_mode": 1.0,
              "pairs_scanned": float(len(pair_list))})
 
 
@@ -844,15 +816,8 @@ def detect_mega_fleet(jobs: Sequence[Sequence[Any]],
             detector.last_mega_stats = dict(run_stats)
             if not pair_mode:
                 task_index, _, class_list = slots[0]
-                triggers = [
-                    ReversedTrigger(target_class=int(target),
-                                    pattern=result.pattern, mask=result.mask,
-                                    success_rate=result.success_rate,
-                                    seconds=per_cell,
-                                    iterations=result.iterations)
-                    for target, result in zip(class_list,
-                                              all_results[task_index])
-                ]
+                triggers = _to_triggers(class_list, all_results[task_index],
+                                        seconds=per_cell)
                 detections.append(_classic_result(
                     detector.name, class_list, triggers,
                     detector.anomaly_threshold, job_seconds,
@@ -860,12 +825,9 @@ def detect_mega_fleet(jobs: Sequence[Sequence[Any]],
                 continue
             by_pair: Dict[ScanPair, ReversedTrigger] = {}
             for task_index, source, targets in slots:
-                for target, result in zip(targets, all_results[task_index]):
-                    by_pair[(source, target)] = ReversedTrigger(
-                        target_class=int(target), pattern=result.pattern,
-                        mask=result.mask, success_rate=result.success_rate,
-                        seconds=per_cell, iterations=result.iterations,
-                        source_class=source)
+                for trigger in _to_triggers(targets, all_results[task_index],
+                                            source, per_cell):
+                    by_pair[trigger.pair] = trigger
             triggers = [by_pair[pair] for pair in cells]
             detections.append(_pair_result(
                 detector.name, cells, triggers, detector.anomaly_threshold,

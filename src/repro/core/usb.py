@@ -14,23 +14,22 @@ anomalously small trigger for its true target class because the UAP — and the
 optimization seeded by it — latches onto the backdoor shortcut instead of a
 class's natural features.
 
-**Batched scan.**  ``detect()`` runs both stages for all K candidate classes
+**Joint scan.**  ``detect()`` runs both stages for all K candidate classes
 jointly by default: Alg. 1 sweeps the K running perturbations against each
 clean mini-batch as one mega-batch
 (:func:`~repro.core.uap.generate_targeted_uaps`), and Alg. 2 refines the K
-seeded ``(pattern, mask)`` pairs in one stacked optimization
-(:class:`~repro.core.trigger_optimizer.BatchedTriggerMaskOptimizer`).  Classes
-whose UAP reaches θ, or (with ``early_stop_success`` configured) whose trigger
-already flips the clean set, drop out of the mega-batch early.  The detector
-falls back to the sequential per-class loop when ``detect(batched=False)`` is
-passed, when a single class is scanned, or when callers invoke
-:meth:`reverse_engineer` directly.
+seeded ``(pattern, mask)`` pairs in the mega work-item pool
+(:mod:`repro.core.mega`).  Classes whose UAP reaches θ, or (with
+``early_stop_success`` configured) whose trigger already flips the clean set,
+drop out of the mega-batch early.  The detector falls back to the sequential
+per-class loop when ``detect(mode="sequential")`` is passed, when a single
+class is scanned, or when callers invoke :meth:`reverse_engineer` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -126,30 +125,6 @@ class USBDetector(TriggerReverseEngineeringDetector):
         return ReversedTrigger(target_class=target_class, pattern=result.pattern,
                                mask=result.mask, success_rate=result.success_rate,
                                iterations=result.iterations)
-
-    def reverse_engineer_batch(self, model: Module,
-                               target_classes: Sequence[int]
-                               ) -> List[ReversedTrigger]:
-        """Joint Alg. 1 + Alg. 2 over all candidate classes (fast path)."""
-        class_list = list(target_classes)
-        if self.config.random_init:
-            inits = [TriggerMaskOptimizer.random_init(
-                self.clean_data.image_shape, self._rng) for _ in class_list]
-        else:
-            missing = [t for t in class_list if t not in self._seeded_uaps]
-            uap_results = dict(self._seeded_uaps)
-            if missing:
-                with _span("usb.uap_sweep", classes=len(missing)):
-                    with PROFILER.phase("uap_sweep"):
-                        uap_results.update(generate_targeted_uaps(
-                            model, self.clean_data.images, missing,
-                            config=self.config.uap, rng=self._rng))
-            for target in class_list:
-                self.last_uaps[target] = uap_results[target]
-            inits = [TriggerMaskOptimizer.init_from_uap(
-                uap_results[t].perturbation) for t in class_list]
-        return self._optimize_triggers_batched(model, class_list, inits,
-                                               self.config.optimization)
 
     def _mega_inits(self, model: Module, target_classes: List[int]):
         """Alg. 1 seeds for the mega pool, with UAP norms as prescreen.

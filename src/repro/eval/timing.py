@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.detection import INVERSION_MODES, TriggerReverseEngineeringDetector
+from ..core.detection import TriggerReverseEngineeringDetector
 from ..data.dataset import Dataset
 from ..nn.layers import Module
 from ..obs.metrics import PROFILER
@@ -55,7 +55,7 @@ class ClassTiming:
     #: otherwise).
     classes_timed: Tuple[int, ...] = ()
     #: Per-phase wall clock of a joint scan (``uap_sweep``, ``coarse_sweep``,
-    #: ``finalist_resume``, ``batched.iteration``...), recorded by the
+    #: ``finalist_resume``...), recorded by the
     #: :data:`repro.obs.metrics.PROFILER`.  Unlike a per-class split, the
     #: phase split *is* measurable for joint engines — phases run back to
     #: back inside the tensor program.  Empty for sequential measurements.
@@ -131,8 +131,7 @@ def measure_detection_times(model: Module,
                             detectors: Dict[str, TriggerReverseEngineeringDetector],
                             classes: Optional[Sequence[int]] = None,
                             case_name: str = "timing",
-                            batched: bool = False,
-                            mode: Optional[str] = None) -> TimingReport:
+                            mode: str = "sequential") -> TimingReport:
     """Time trigger reverse engineering of every detector on ``model``.
 
     Args:
@@ -140,72 +139,53 @@ def measure_detection_times(model: Module,
         detectors: Name -> detector mapping; one timing entry per detector.
         classes: Candidate classes (default: every class of the clean pool).
         case_name: Label stamped on the report.
-        batched: Legacy toggle for ``mode="batched"``; ignored when ``mode``
-            is given.
         mode: ``"sequential"`` (per-class loop, genuine per-class times),
             ``"batched"`` (one stacked scan per detector), or ``"mega"``
             (the pooled engine with the budget cascade).  Joint modes record
             only the total — their engines interleave classes, so per-class
-            attribution would be fabricated.  A detector lacking the
-            requested joint engine falls back down the chain
-            (mega -> batched -> sequential), mirroring ``detect()``.
+            attribution would be fabricated.  Engine selection and its
+            sequential fallback are ``detect()``'s
+            (:meth:`~repro.core.detection.TriggerReverseEngineeringDetector.invert_classes`).
     """
-    resolved = mode if mode is not None else ("batched" if batched
-                                              else "sequential")
-    if resolved not in INVERSION_MODES:
-        raise ValueError(f"Unknown timing mode '{resolved}'. "
-                         f"Available: {', '.join(INVERSION_MODES)}")
     model.eval()
     was_grad = [p.requires_grad for p in model.parameters()]
     model.requires_grad_(False)
+    # Joint engines report per-phase wall clock (coarse sweep vs finalist
+    # resume vs UAP seeding) through the profiler — the one split that *is*
+    # measurable when classes interleave.
+    profile = mode != "sequential"
+    prior_profiling = PROFILER.enabled
     try:
         timings: List[ClassTiming] = []
         for name, detector in detectors.items():
             class_list = list(classes) if classes is not None else list(
                 range(detector.clean_data.num_classes))
-            per_class: Dict[int, float] = {}
-            used_mode = "sequential"
-            total: Optional[float] = None
-            phases: Dict[str, float] = {}
-            if resolved != "sequential" and len(class_list) > 1:
-                # Joint engines report per-phase wall clock (coarse sweep vs
-                # finalist resume vs UAP seeding) through the profiler — the
-                # one split that *is* measurable when classes interleave.
-                prior_profiling = PROFILER.enabled
+            if profile:
                 PROFILER.enable()
                 PROFILER.reset()
-                try:
-                    start = time.perf_counter()
-                    triggers = None
-                    if resolved == "mega":
-                        triggers = detector.reverse_engineer_mega(model,
-                                                                  class_list)
-                        if triggers is not None:
-                            used_mode = "mega"
-                    if triggers is None:
-                        triggers = detector.reverse_engineer_batch(model,
-                                                                   class_list)
-                        if triggers is not None:
-                            used_mode = "batched"
-                    if triggers is not None:
-                        total = time.perf_counter() - start
-                        snapshot = PROFILER.snapshot().get("phases", {})
-                        phases = {phase: round(float(entry["seconds"]), 6)
-                                  for phase, entry in snapshot.items()}
-                finally:
+            try:
+                start = time.perf_counter()
+                triggers, engine = detector.invert_classes(model, class_list,
+                                                           mode)
+                elapsed = time.perf_counter() - start
+                snapshot = PROFILER.snapshot().get("phases", {})
+            finally:
+                if profile:
                     PROFILER.reset()
                     if not prior_profiling:
                         PROFILER.disable()
-            if total is None:
-                used_mode = "sequential"
-                phases = {}
-                for target in class_list:
-                    start = time.perf_counter()
-                    detector.reverse_engineer(model, target)
-                    per_class[target] = time.perf_counter() - start
+            per_class: Dict[int, float] = {}
+            total: Optional[float] = None
+            phases: Dict[str, float] = {}
+            if engine == "sequential":
+                per_class = {t.target_class: t.seconds for t in triggers}
+            else:
+                total = elapsed
+                phases = {phase: round(float(entry["seconds"]), 6)
+                          for phase, entry in snapshot.items()}
             timings.append(ClassTiming(
                 detector=name, per_class_seconds=per_class,
-                batched=used_mode != "sequential", mode=used_mode,
+                batched=engine != "sequential", mode=engine,
                 total=total, classes_timed=tuple(class_list),
                 phase_seconds=phases))
         return TimingReport(case_name=case_name, timings=timings)

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import (
     BatchedTriggerMaskOptimizer,
+    MegaCascadeConfig,
+    MegaTask,
     TargetedUAPConfig,
     TriggerMaskOptimizer,
     TriggerOptimizationConfig,
@@ -13,6 +15,7 @@ from repro.core import (
     USBDetector,
     generate_targeted_uap,
     generate_targeted_uaps,
+    run_mega_inversion,
 )
 from repro.core import uap as uap_module
 from repro.data import make_synthetic_dataset
@@ -273,24 +276,52 @@ class TestFusedOps:
 
 class TestBatchedTriggerOptimizer:
     def test_matches_sequential_within_tolerance(self, tiny_setup):
+        # Two inputs.  The batched front admits every cell at step 0.  The
+        # pool under its default 256-row cap cannot: 10 cells of 32 rows
+        # overflow it, so 2 cells are admitted in flight, at earlier batch
+        # offsets than the running ones, and must still follow their own
+        # sequential trajectories.
         model, dataset = tiny_setup
-        images = dataset.images[:32]
-        cfg = TriggerOptimizationConfig(iterations=12, batch_size=16)
         rng = np.random.default_rng(7)
-        inits = [TriggerMaskOptimizer.random_init(dataset.image_shape, rng)
-                 for _ in range(3)]
-        sequential = [
-            TriggerMaskOptimizer(model, images, target, cfg).optimize(*init)
-            for target, init in enumerate(inits)
+
+        def batched(images, targets, inits, cfg):
+            return BatchedTriggerMaskOptimizer(
+                model, images, targets, cfg).optimize(inits)
+
+        def row_capped_pool(images, targets, inits, cfg):
+            stats = {}
+            [results] = run_mega_inversion(
+                [MegaTask(model, images, targets, inits, cfg)],
+                cascade=MegaCascadeConfig(enabled=False), stats=stats)
+            assert stats["in_flight_admissions"] == 2
+            return results
+
+        cases = [
+            (batched, 32, [0, 1, 2],
+             TriggerOptimizationConfig(iterations=12, batch_size=16)),
+            (row_capped_pool, 48, [c % 4 for c in range(10)],
+             TriggerOptimizationConfig(iterations=12, batch_size=32)),
         ]
-        batched = BatchedTriggerMaskOptimizer(
-            model, images, [0, 1, 2], cfg).optimize(inits)
-        for seq, bat in zip(sequential, batched):
-            np.testing.assert_allclose(bat.pattern, seq.pattern,
-                                       rtol=1e-3, atol=1e-4)
-            np.testing.assert_allclose(bat.mask, seq.mask, rtol=1e-3, atol=1e-4)
-            assert bat.success_rate == pytest.approx(seq.success_rate, abs=1e-6)
-            assert bat.final_loss == pytest.approx(seq.final_loss, abs=1e-3)
+        for engine, count, targets, cfg in cases:
+            images = dataset.images[:count]
+            inits = [TriggerMaskOptimizer.random_init(dataset.image_shape, rng)
+                     for _ in targets]
+            sequential = [
+                TriggerMaskOptimizer(model, images, target, cfg).optimize(*init)
+                for target, init in zip(targets, inits)
+            ]
+            joint = engine(images, targets, inits, cfg)
+            assert len(joint) == len(targets)
+            for seq, got in zip(sequential, joint):
+                np.testing.assert_allclose(got.pattern, seq.pattern,
+                                           rtol=1e-3, atol=1e-4)
+                np.testing.assert_allclose(got.mask, seq.mask,
+                                           rtol=1e-3, atol=1e-4)
+                assert got.iterations == seq.iterations
+                assert got.success_rate == pytest.approx(seq.success_rate,
+                                                         abs=1e-6)
+                assert got.final_loss == pytest.approx(seq.final_loss,
+                                                       abs=1e-3)
 
     def test_regularized_config_matches_sequential(self, tiny_setup):
         model, dataset = tiny_setup
@@ -402,10 +433,10 @@ class TestBatchedDetect:
             optimization=TriggerOptimizationConfig(iterations=8, ssim_weight=0.0))
         sequential = NeuralCleanseDetector(
             clean, config, rng=np.random.default_rng(11)).detect(
-                model, classes=[0, 1, 2], batched=False)
+                model, classes=[0, 1, 2], mode="sequential")
         batched = NeuralCleanseDetector(
             clean, config, rng=np.random.default_rng(11)).detect(
-                model, classes=[0, 1, 2], batched=True)
+                model, classes=[0, 1, 2], mode="batched")
         assert sequential.metadata["batched"] == 0.0
         assert batched.metadata["batched"] == 1.0
         assert batched.flagged_classes == sequential.flagged_classes
@@ -460,7 +491,7 @@ class TestBatchedDetect:
             optimization=TriggerOptimizationConfig(iterations=3)),
             rng=np.random.default_rng(0))}
         report = measure_detection_times(model, detectors, classes=[0, 1],
-                                         case_name="t", batched=True)
+                                         case_name="t", mode="batched")
         timing = report.timings[0]
         assert timing.batched
         # Joint scans interleave classes: only the total is a real

@@ -4,8 +4,11 @@ The mega engine (``repro.core.mega``) must reach the same verdicts as the
 per-model paths: identical flagged classes / flagged pairs on every detector,
 anomaly indices within a cascade tolerance (non-finalist cells stop at the
 coarse budget, so their norms drift slightly), and — with the cascade
-disabled — numerically identical results, because the work-item pool replays
-the stacked optimizer's math exactly.
+disabled — numerically identical results to ``mode="batched"``, which is the
+same pool with the cascade off.  Because every mode flags nothing on this
+tiny fixture, the batched anomaly indices and the default request digests are
+also pinned as literals, so a change in the numbers cannot hide behind an
+empty verdict.
 """
 
 import dataclasses
@@ -86,7 +89,34 @@ def _make_detector(kind, clean, iterations=ITERATIONS, seed=7):
             outside_pattern_weight=0.002)), rng=rng)
 
 
+def _write_checkpoint(tmp_path):
+    """A basic_cnn checkpoint whose metadata names a model and dataset."""
+    from repro.models import build_model
+    from repro.nn.serialization import save_model
+    model = build_model("basic_cnn", num_classes=10, in_channels=3,
+                        image_size=12, rng=np.random.default_rng(0))
+    path = tmp_path / "m.npz"
+    save_model(model, str(path), metadata={
+        "model": "basic_cnn", "dataset": "cifar10", "image_size": 12})
+    return str(path)
+
+
 DETECTOR_KINDS = ("usb", "nc", "tabor")
+
+#: ``mode="batched"`` anomaly indices per detector on the first 16 images of
+#: ``tiny_setup`` (``_make_detector`` seeds).
+BATCHED_ANOMALY_INDICES = {
+    "usb": {0: 0.0, 1: 0.489422910958122, 2: 0.8595586079950684, 3: 0.0},
+    "nc": {0: 0.0, 1: 0.6793987858461332, 2: 0.0, 3: 0.6695827331070572},
+    "tabor": {0: 0.0, 1: 0.5172344441109832, 2: 0.0, 3: 1.1754888006353148},
+}
+
+#: ``config_digest`` of a default ``ScanRequest`` per detector.
+DEFAULT_REQUEST_DIGESTS = {
+    "usb": "bf4825401358c808",
+    "nc": "0c34ab2b4632bebd",
+    "tabor": "c9238cc6d3460c2b",
+}
 
 
 class TestModeParity:
@@ -125,6 +155,27 @@ class TestModeParity:
         for cls in batched.anomaly_indices:
             assert mega.anomaly_indices[cls] == pytest.approx(
                 batched.anomaly_indices[cls], abs=1e-5)
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_batched_anomaly_indices_pinned(self, tiny_setup, kind):
+        model, dataset = tiny_setup
+        clean = dataset.subset(range(16))
+        result = _make_detector(kind, clean).detect(model, classes=range(4),
+                                                    mode="batched")
+        assert result.metadata == {"batched": 1.0, "mega": 0.0}
+        assert result.anomaly_indices == pytest.approx(
+            BATCHED_ANOMALY_INDICES[kind], abs=1e-6)
+
+    def test_default_request_digests_pinned(self, tmp_path):
+        # Stored verdicts are keyed by this digest; a change here would turn
+        # every cached default-mode scan into a miss.
+        from repro.service.records import ScanRequest
+        from repro.service.scheduler import resolve_request
+
+        path = _write_checkpoint(tmp_path)
+        for kind, digest in DEFAULT_REQUEST_DIGESTS.items():
+            request = ScanRequest(checkpoint=path, detector=kind)
+            assert resolve_request(request).config_digest == digest
 
     def test_single_class_falls_back_to_sequential(self, tiny_setup):
         model, dataset = tiny_setup
@@ -221,6 +272,9 @@ class TestFleet:
 
 class TestPoolMechanics:
     def test_pool_is_bit_exact_vs_batched_optimizer(self, tiny_setup):
+        # The batched optimizer is a front for the pool (cascade off, row cap
+        # lifted); a direct task under the default pool config must give the
+        # very same results, so the front adds nothing to the math.
         model, dataset = tiny_setup
         images = dataset.images[:16]
         config = TriggerOptimizationConfig(iterations=5)
@@ -318,21 +372,11 @@ class TestCleanActivationCache:
 
 
 class TestServiceDigest:
-    def _checkpoint(self, tmp_path):
-        from repro.models import build_model
-        from repro.nn.serialization import save_model
-        model = build_model("basic_cnn", num_classes=10, in_channels=3,
-                            image_size=12, rng=np.random.default_rng(0))
-        path = tmp_path / "m.npz"
-        save_model(model, str(path), metadata={
-            "model": "basic_cnn", "dataset": "cifar10", "image_size": 12})
-        return str(path)
-
     def test_inversion_mode_in_digest_only_when_non_default(self, tmp_path):
         from repro.service.records import ScanRequest
         from repro.service.scheduler import resolve_request
 
-        path = self._checkpoint(tmp_path)
+        path = _write_checkpoint(tmp_path)
         base = ScanRequest(checkpoint=path, classes=(0, 1, 2),
                            clean_budget=10, samples_per_class=3, iterations=2)
         digests = {}
