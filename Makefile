@@ -7,7 +7,7 @@ TIER1_TIMEOUT ?= 120
 # Budget for the scenario-matrix smoke run (seconds).
 SCENARIOS_TIMEOUT ?= 300
 
-.PHONY: test tier1 lint lint-baseline bench bench-detection examples scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke bench-selftest
+.PHONY: test tier1 lint lint-baseline bench bench-detection examples scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke bench-selftest service-example
 
 ## Tier-1 unit suite (tests/ only; benchmarks/ are excluded via pytest.ini).
 test: tier1
@@ -92,6 +92,11 @@ mega-smoke:
 ## 2 vCPUs).  Fails when a refactor breaks a harness hook.
 bench-selftest:
 	$(PYTHON) perfbench/selftest.py --runs
+
+## Service example: scan, a cache hit, grid and report through the CLI's
+## default store (~50 s on 2 vCPUs).
+service-example:
+	$(PYTHON) examples/scan_service.py
 
 ## Smoke-run every example end to end (slowest last; ~minutes on a CPU).
 examples:

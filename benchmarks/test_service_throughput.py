@@ -18,7 +18,7 @@ from bench_config import BENCH_SEED, bench_scale
 from conftest import save_result
 
 from repro.eval import format_scan_records, run_experiment, table5_config
-from repro.service import ResultStore, ScanRequest, ScanScheduler
+from repro.service import ScanRequest, ScanScheduler, ShardedResultStore
 
 #: Worker-pool width for the dispatch measurement (the box may have fewer
 #: cores; ProcessPoolExecutor degrades gracefully).
@@ -34,7 +34,7 @@ def test_fleet_dispatch_parity(benchmark, results_dir, tmp_path):
     serial = run_experiment(config, seed=BENCH_SEED + 30)
 
     scheduler = ScanScheduler(
-        store=ResultStore(str(tmp_path / "fleet.jsonl")), workers=WORKERS)
+        store=ShardedResultStore(str(tmp_path / "fleet")), workers=WORKERS)
 
     def _dispatch():
         return run_experiment(config, seed=BENCH_SEED + 30, scheduler=scheduler,
@@ -47,7 +47,7 @@ def test_fleet_dispatch_parity(benchmark, results_dir, tmp_path):
 
 def test_grid_cache_throughput(results_dir, tmp_path):
     config = _config()
-    store = ResultStore(str(tmp_path / "scan.jsonl"))
+    store = ShardedResultStore(str(tmp_path / "scan"))
     checkpoint_dir = str(tmp_path / "ckpts")
     scheduler = ScanScheduler(store=store, workers=WORKERS)
     run_experiment(config, seed=BENCH_SEED + 31, scheduler=scheduler,
@@ -61,7 +61,7 @@ def test_grid_cache_throughput(results_dir, tmp_path):
         for detector in ("usb", "nc")
     ]
 
-    grid_store = ResultStore(str(tmp_path / "grid.jsonl"))
+    grid_store = ShardedResultStore(str(tmp_path / "grid"))
     cold_scheduler = ScanScheduler(store=grid_store, workers=WORKERS)
     start = time.perf_counter()
     cold = cold_scheduler.scan(requests)

@@ -10,6 +10,9 @@ The workflow mirrors production use of ``python -m repro``:
 4. fan a checkpoint x detector ``grid`` across two worker processes, and
 5. ``report`` everything the store has seen.
 
+Every command uses the CLI's default result store, the ``scan_results/``
+directory in the working directory (here a temporary one).
+
 Run with:  python examples/scan_service.py
 """
 
@@ -61,26 +64,35 @@ def train_checkpoints(workdir: str) -> list:
     return checkpoints
 
 
+def run(argv: list) -> None:
+    """Run one ``python -m repro`` command; exit on a non-zero status."""
+    status = repro_cli(argv)
+    if status:
+        raise SystemExit(status)
+
+
 def main() -> None:
+    home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="repro-scan-demo-") as workdir:
         clean_ckpt, badnet_ckpt = train_checkpoints(workdir)
-        store = os.path.join(workdir, "scan_results.jsonl")
+        os.chdir(workdir)  # the default --store lands in scan_results/ here
         budget = ["--clean-budget", "60", "--samples-per-class", "15",
-                  "--iterations", "40", "--store", store]
+                  "--iterations", "40"]
 
         print("\n--- python -m repro scan (first run: computed) ---")
-        repro_cli(["scan", badnet_ckpt, "--detector", "usb"] + budget)
+        run(["scan", badnet_ckpt, "--detector", "usb"] + budget)
 
         print("\n--- python -m repro scan (identical request: cache hit) ---")
-        repro_cli(["scan", badnet_ckpt, "--detector", "usb"] + budget)
+        run(["scan", badnet_ckpt, "--detector", "usb"] + budget)
 
         print("\n--- python -m repro grid (2 checkpoints x 2 detectors, "
               "2 workers) ---")
-        repro_cli(["grid", clean_ckpt, badnet_ckpt, "--detectors", "usb,nc",
-                   "--workers", "2"] + budget)
+        run(["grid", clean_ckpt, badnet_ckpt, "--detectors", "usb,nc",
+             "--workers", "2"] + budget)
 
         print("\n--- python -m repro report ---")
-        repro_cli(["report", "--store", store])
+        run(["report"])
+        os.chdir(home)
 
 
 if __name__ == "__main__":

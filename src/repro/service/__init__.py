@@ -8,10 +8,10 @@ The service layer turns the in-process detectors into throughput:
   the picklable/JSON-safe units of work and result;
 * :mod:`repro.service.locks` — advisory per-shard file locks and atomic
   file replacement, the multi-writer primitives;
-* :mod:`repro.service.store` — result stores: the legacy single-file JSONL
-  :class:`ResultStore` and the sharded, concurrent-writer
-  :class:`ShardedResultStore` (pick via :func:`open_store`), both making
-  repeat scans cache hits and both supporting ``compact`` / ``merge``;
+* :mod:`repro.service.store` — :class:`ShardedResultStore`, the
+  concurrent-writer result store directory that makes repeat scans cache
+  hits, with ``compact`` / ``merge`` (a legacy single-file ``.jsonl`` store
+  is imported through ``merge``);
 * :mod:`repro.service.planning` — the backend-independent planning core:
   the prioritized :class:`JobQueue`, :class:`ServiceMetrics`, and the
   shared cache-lookup planner every execution path reuses;
@@ -98,7 +98,7 @@ from .scheduler import (
     execute_scan,
     resolve_request,
 )
-from .store import ResultStore, ShardedResultStore, open_store, stream_records
+from .store import ShardedResultStore, stream_records
 
 __all__ = [
     "BACKEND_NAMES",
@@ -138,9 +138,7 @@ __all__ = [
     "execute_resolved",
     "execute_scan",
     "resolve_request",
-    "ResultStore",
     "ShardedResultStore",
-    "open_store",
     "FileLock",
     "LockTimeout",
     "atomic_write",

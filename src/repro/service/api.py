@@ -58,7 +58,7 @@ from .records import ScanRequest
 from .repair import RepairRequest, run_repairs
 from .routing import STRATEGIES, RoutingPolicy, route_scan
 from .scheduler import JobQueue, ScanScheduler
-from .store import SPANS_NAME, open_store, sidecar_path
+from .store import SPANS_NAME, ShardedResultStore, sidecar_path
 
 __all__ = ["ApiJob", "ApiServer", "DEFAULT_TENANT"]
 
@@ -166,8 +166,9 @@ class ApiServer:
     """The scan/repair HTTP service: queue, dispatcher, and HTTP listener.
 
     Args:
-        store_path: Result store (any :func:`~repro.service.open_store`
-            layout); scans/repairs are cached there exactly as the CLI's.
+        store_path: Result store directory
+            (:class:`~repro.service.ShardedResultStore`); scans/repairs are
+            cached there exactly as the CLI's.
         host: Bind address (default loopback).
         port: Bind port; ``0`` picks an ephemeral port (see :attr:`port`).
         workers: Scheduler pool size (``0``/``1`` runs scans inline on the
@@ -189,7 +190,7 @@ class ApiServer:
         self.store_path = str(store_path)
         self.span_sink = sidecar_path(self.store_path, SPANS_NAME)
         self.scheduler = ScanScheduler(
-            store=open_store(self.store_path), workers=workers,
+            store=ShardedResultStore(self.store_path), workers=workers,
             telemetry=telemetry, span_sink=self.span_sink, backend=backend)
         self.job_retries = int(job_retries)
         self.queue = JobQueue(thread_safe=True)
@@ -420,8 +421,8 @@ class ApiServer:
         vs the service's ``repro_*``), so the concatenation stays a valid
         single exposition.
         """
-        rows = [record.to_dict()
-                for record in open_store(self.store_path).scan_records()]
+        rows = [record.to_dict() for record
+                in ShardedResultStore(self.store_path).scan_records()]
         stats = {"metrics": self.scheduler.metrics.snapshot(),
                  "queue_depth": len(self.queue),
                  "backend": self.scheduler.backend.name}

@@ -8,13 +8,14 @@ Subcommands::
     python -m repro grid ckpt_a.npz ckpt_b.npz --detectors usb,nc --workers 2
     python -m repro repair checkpoint.npz --strategy both \
         --max-accuracy-drop 3
-    python -m repro report --store scan_results.jsonl
+    python -m repro report --store scan_results/
     python -m repro experiment --table table5 --scale bench \
         --scenarios all_to_one,source_conditional,all_to_all
     python -m repro watch drop_dir/ --store scans/ --detectors usb,nc \
         --auto-repair
     python -m repro store compact --store scans/
     python -m repro store merge --store scans/ --source other_store/
+    python -m repro store merge --store scans/ --source old.jsonl  # import
     python -m repro trace --store scans/            # list recorded traces
     python -m repro trace <trace-id> --store scans/ # render one span tree
     python -m repro metrics --store scans/          # Prometheus exposition
@@ -57,10 +58,10 @@ commands; disable it per invocation with ``--no-telemetry`` or globally
 with ``REPRO_TELEMETRY=0``.  The global ``--log-level`` flag (or
 ``REPRO_LOG_LEVEL``) controls the shared ``repro`` logger.
 
-All commands share one result store (``--store``).  The default is the
-legacy single-file ``scan_results.jsonl``; point ``--store`` at a directory
-(or any extension-less path) to get the sharded multi-writer layout that
-concurrent schedulers and daemons can write simultaneously.  A repeated scan
+All commands share one result store (``--store``, default
+``scan_results/``): a sharded multi-writer directory that concurrent
+schedulers and daemons can write simultaneously.  A legacy single-file
+``.jsonl`` store is imported with ``store merge --source``.  A repeated scan
 of an identical (weights, detector, config, scenario) tuple is served from
 cache and labelled as such — the scenario is part of the cache key, so
 verdicts never collide across scenarios.
@@ -85,14 +86,15 @@ from ..obs.render import (format_trace_summaries, render_trace,
 from ..obs.trace import read_spans
 from ..utils.logging import set_log_level
 from .backends import BACKEND_NAMES
-from .daemon import DaemonConfig, WatchDaemon, default_stats_path
+from .daemon import DaemonConfig, WatchDaemon
 from .fleet import fleet_snapshot, run_worker
 from .locks import atomic_write
 from .records import KNOWN_DETECTORS, RepairRecord, ScanRecord, ScanRequest
 from .repair import RepairRequest, run_repairs
 from .routing import STRATEGIES, RoutingPolicy, route_scan
 from .scheduler import ScanScheduler
-from .store import SPANS_NAME, open_store, sidecar_path, stream_records
+from .store import (SPANS_NAME, STATS_NAME, ShardedResultStore, sidecar_path,
+                    stream_records)
 
 #: Repair strategies the CLI offers (mirrors repro.mitigation.STRATEGIES
 #: without importing the mitigation package at CLI-import time).
@@ -100,7 +102,7 @@ REPAIR_STRATEGIES = ("unlearn", "prune", "both")
 
 __all__ = ["build_parser", "main"]
 
-DEFAULT_STORE = "scan_results.jsonl"
+DEFAULT_STORE = "scan_results"
 
 
 def _add_scan_options(parser: argparse.ArgumentParser) -> None:
@@ -168,9 +170,8 @@ def _add_repair_options(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """Attach the store/worker/output flags shared by most commands."""
     parser.add_argument("--store", default=DEFAULT_STORE,
-                        help="Result store: a .jsonl file (single-writer) or "
-                             "a directory for the sharded multi-writer "
-                             f"layout (default: {DEFAULT_STORE}).")
+                        help="Result store directory, shared by concurrent "
+                             f"writers (default: {DEFAULT_STORE}).")
     parser.add_argument("--no-store", action="store_true",
                         help="Disable the cache: always recompute, never persist.")
     parser.add_argument("--workers", type=int, default=0,
@@ -243,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--detector", default=None,
                         help="Only show records from this detector.")
     report.add_argument("--stats", default=None,
-                        help="Daemon stats endpoint file (default: derived "
-                             "from --store; shown only when it exists).")
+                        help="Daemon stats endpoint file (default: "
+                             "stats.json in --store; shown only when it "
+                             "exists).")
     report.add_argument("--json", action="store_true", dest="as_json")
 
     watch = commands.add_parser(
@@ -265,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--max-iterations", type=int, default=0,
                        help="Stop after N polls (0 = run until interrupted).")
     watch.add_argument("--stats", default=None,
-                       help="Stats endpoint file (default: derived from "
+                       help="Stats endpoint file (default: stats.json in "
                             "--store).")
     watch.add_argument("--auto-repair", action="store_true",
                        help="Automatically repair every checkpoint flagged "
@@ -298,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = commands.add_parser(
         "serve", help="Run the HTTP scan/repair API over a result store.")
-    serve.add_argument("store", help="Result store the API reads and writes "
-                                     "(directory for the sharded layout).")
+    serve.add_argument("store", help="Result store directory the API reads "
+                                     "and writes.")
     serve.add_argument("--host", default="127.0.0.1",
                        help="Bind address (default: loopback).")
     serve.add_argument("--port", type=int, default=8321,
@@ -345,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Result store the metric families are built "
                               "from.")
     metrics.add_argument("--stats", default=None,
-                         help="Daemon stats endpoint file (default: derived "
-                              "from --store when it exists).")
+                         help="Daemon stats endpoint file (default: "
+                              "stats.json in --store, when it exists).")
     metrics.add_argument("--output", default=None,
                          help="Write the exposition atomically to this file "
                               "instead of stdout.")
@@ -362,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     merge.add_argument("--store", default=DEFAULT_STORE,
                        help="Destination store.")
     merge.add_argument("--source", required=True,
-                       help="Foreign store (file or directory) to merge in.")
+                       help="Foreign store directory, or a legacy .jsonl "
+                            "store file to import.")
 
     experiment = commands.add_parser(
         "experiment",
@@ -424,7 +427,7 @@ def _request_from_args(args: argparse.Namespace, checkpoint: str,
 
 def _make_scheduler(args: argparse.Namespace) -> ScanScheduler:
     """Build the scheduler (and open the store) a command asked for."""
-    store = None if args.no_store else open_store(args.store)
+    store = None if args.no_store else ShardedResultStore(args.store)
     telemetry = False if getattr(args, "no_telemetry", False) else None
     span_sink = (sidecar_path(args.store, SPANS_NAME)
                  if store is not None else None)
@@ -592,7 +595,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 def _load_stats(args: argparse.Namespace) -> Optional[dict]:
     """Read the daemon stats endpoint for ``report``, if one exists."""
-    stats_path = args.stats or default_stats_path(args.store)
+    stats_path = args.stats or sidecar_path(args.store, STATS_NAME)
     if not os.path.exists(stats_path):
         return None
     with open(stats_path, "r", encoding="utf-8") as handle:
@@ -737,11 +740,10 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     """``store compact`` / ``store merge``: in-place store maintenance."""
-    store = open_store(args.store)
+    store = ShardedResultStore(args.store)
     if args.store_command == "compact":
         result = store.compact()
-        print(f"{args.store}: compacted "
-              f"{result.get('shards', 1)} shard(s)/file(s): "
+        print(f"{args.store}: compacted {result['shards']} shard(s): "
               f"{result['lines_before']} line(s) -> "
               f"{result['records_after']} record(s) "
               f"({result['dropped']} superseded line(s) dropped).")
@@ -775,7 +777,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """``metrics``: Prometheus text exposition of the store + daemon stats."""
-    store = open_store(args.store)
+    store = ShardedResultStore(args.store)
     stats = _load_stats(args)
     if stats is not None:
         stats = {k: v for k, v in stats.items() if k != "_path"}

@@ -49,29 +49,16 @@ from .scheduler import (
     execute_resolved,
     resolve_request,
 )
-from .store import METRICS_NAME, SPANS_NAME, STATS_NAME, open_store, sidecar_path
+from .store import (METRICS_NAME, SPANS_NAME, STATS_NAME, ShardedResultStore,
+                    sidecar_path)
 
 __all__ = ["CheckpointWatcher", "ChildBackend", "DaemonConfig", "WatchDaemon",
-           "ScanJob", "RepairJob", "default_stats_path", "run_scan_in_child"]
+           "ScanJob", "RepairJob", "run_scan_in_child"]
 
 _LOG = get_logger("repro.service.daemon")
 
 #: Version tag written into the stats payload so consumers can evolve.
 STATS_FORMAT = 1
-
-
-def default_stats_path(store_path: str) -> str:
-    """Where the daemon publishes stats for a given store path.
-
-    Sharded stores keep ``stats.json`` inside the store directory; a legacy
-    single-file store gets a ``<store>.stats.json`` sibling.
-    """
-    text = os.fspath(store_path)
-    if os.path.isfile(text):  # legacy file, however it is named
-        return text + ".stats.json"
-    if os.path.isdir(text) or os.path.splitext(text)[1] == "":
-        return os.path.join(text, STATS_NAME)
-    return text + ".stats.json"
 
 
 #: File-name patterns the watcher skips by default: the repair pipeline's
@@ -175,8 +162,8 @@ class DaemonConfig:
 
     Args:
         watch_dir: Drop directory to poll for checkpoints.
-        store_path: Result store (any :func:`repro.service.open_store`
-            layout; an extension-less path creates a sharded store).
+        store_path: Result store directory
+            (:class:`~repro.service.ShardedResultStore`; created on demand).
         detectors: Detectors run against every checkpoint.
         poll_interval: Seconds between directory polls.
         job_timeout: Wall-clock budget per scan; the child process running a
@@ -184,8 +171,8 @@ class DaemonConfig:
         max_retries: Bounded retry budget per job after a failure or timeout.
         settle_polls: See :class:`CheckpointWatcher`.
         patterns: File-name patterns treated as checkpoints.
-        stats_path: Stats endpoint file (default: derived from the store via
-            :func:`default_stats_path`).
+        stats_path: Stats endpoint file (default: ``stats.json`` inside the
+            store, :func:`~repro.service.store.sidecar_path`).
         request_options: Extra :class:`~repro.service.records.ScanRequest`
             fields applied to every job (scan budgets, classes, scenario...).
         scan_fn: Module-level callable mapping a resolved scan to a
@@ -321,7 +308,7 @@ class WatchDaemon:
                  scheduler: Optional[ScanScheduler] = None) -> None:
         self.config = config
         if scheduler is None:
-            store = open_store(config.store_path)
+            store = ShardedResultStore(config.store_path)
             scheduler = ScanScheduler(store=store,
                                       job_timeout=config.job_timeout,
                                       job_retries=config.max_retries,
@@ -339,8 +326,8 @@ class WatchDaemon:
                                          patterns=config.patterns,
                                          settle_polls=config.settle_polls)
         self.queue = JobQueue()
-        self.stats_path = config.stats_path or default_stats_path(
-            config.store_path)
+        self.stats_path = config.stats_path or sidecar_path(
+            config.store_path, STATS_NAME)
         #: Checkpoints ever reported ready by the watcher.
         self.checkpoints_seen = 0
         #: Completed loop iterations (polls).

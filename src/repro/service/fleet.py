@@ -83,7 +83,7 @@ class LeaseLostError(RuntimeError):
 
 
 def fleet_dir(store_path: str) -> str:
-    """The fleet coordination directory for a store path (any layout)."""
+    """The fleet coordination directory inside a store directory."""
     return sidecar_path(store_path, "fleet")
 
 

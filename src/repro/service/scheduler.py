@@ -74,7 +74,7 @@ from .fingerprint import digest_config, fingerprint_state_dict, scan_key
 from .planning import (CachePlanner, JobQueue, JobTimeoutError, LATENCY_WINDOW,
                        QueuedJob, ServiceMetrics)
 from .records import ScanRecord, ScanRequest
-from .store import ResultStore
+from .store import ShardedResultStore
 
 __all__ = ["ResolvedScan", "ScanScheduler", "resolve_request", "execute_scan",
            "execute_resolved", "execute_mega_group", "build_request_detector",
@@ -466,8 +466,8 @@ class ScanScheduler:
     """Runs scan batches over an execution backend with result-store caching.
 
     Args:
-        store: Optional result store (any :func:`repro.service.open_store`
-            layout); without one every request is computed fresh.
+        store: Optional :class:`~repro.service.ShardedResultStore`;
+            without one every request is computed fresh.
         workers: Pool size for the default (``pool``) backend.
             ``workers <= 1`` is the serial fallback: jobs run inline in the
             parent, in queue order — bit-identical to the pool path
@@ -494,7 +494,7 @@ class ScanScheduler:
             processes doing the work change.
     """
 
-    def __init__(self, store: Optional[ResultStore] = None,
+    def __init__(self, store: Optional[ShardedResultStore] = None,
                  workers: int = 0, job_timeout: Optional[float] = None,
                  job_retries: int = 0, telemetry: Optional[bool] = None,
                  span_sink: Optional[str] = None,

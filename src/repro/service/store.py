@@ -1,32 +1,19 @@
-"""Result stores: single-file JSONL and the sharded multi-writer variant.
+"""The result store: a directory of fingerprint-sharded JSONL files.
 
-Two implementations share one interface (``lookup`` / ``add`` / ``records`` /
-``compact`` / ``merge``):
+:class:`ShardedResultStore` caches one record per cache key (the record's
+``key``: fingerprint, detector, config digest) in ``shard-<prefix>.jsonl``
+files addressed by the fingerprint's leading hex characters.  Appends take
+the shard's :class:`~repro.service.locks.FileLock`, so any number of
+processes (schedulers, CLI invocations, the watch daemon) share one store;
+readers pick up other writers' appends lazily, re-replaying a shard only
+when its (mtime, size) signature changed.  Replay skips unreadable lines (a
+writer killed mid-append) with a warning, and the next append terminates
+such a fragment first (:func:`_append_line`).
 
-* :class:`ResultStore` — the original append-only single-file JSONL store.
-  One line per :class:`~repro.service.records.ScanRecord`, keyed by
-  ``(fingerprint, detector, config_digest)`` (the record's ``key``).  The
-  file is the source of truth: the store replays it on open, so it survives
-  restarts and ships around as one file.  **Single-writer**: only one
-  process may append at a time.
-
-* :class:`ShardedResultStore` — a directory of shard files
-  (``shard-<prefix>.jsonl``), sharded by the leading hex characters of the
-  record's fingerprint.  Every append takes the shard's advisory
-  :class:`~repro.service.locks.FileLock` and issues one ``O_APPEND`` write
-  of the full line, so **concurrent writers** (multiple schedulers, multiple
-  ``python -m repro`` invocations, the watch daemon) share one store without
-  lost or torn records.  Readers pick up other writers' appends lazily: a
-  ``lookup`` miss re-replays the one shard that could hold the key, keyed on
-  its (mtime, size) signature.
-
-:func:`open_store` picks the right implementation from the path (existing
-directory or extension-less path -> sharded; ``*.jsonl`` file -> legacy), so
-callers and the CLI accept either layout with one flag.
-
-Both stores tolerate a torn final line (a writer killed mid-append under the
-legacy layout, or a truncated copy): unreadable lines are skipped with a
-warning on replay.
+Sidecars (stats, spans, metrics, the ``fleet/`` queue) live inside the
+store directory (:func:`sidecar_path`).  A legacy single-file ``.jsonl``
+store is only read, by :func:`stream_records`: ``python -m repro store
+merge --store <dir> --source <file>`` imports it.
 """
 
 from __future__ import annotations
@@ -39,23 +26,21 @@ from ..utils.logging import get_logger
 from .locks import FileLock, atomic_write
 from .records import RepairRecord, ScanRecord, record_from_dict
 
-__all__ = ["ResultStore", "ShardedResultStore", "open_store",
-           "stream_records", "STATS_NAME", "SPANS_NAME", "METRICS_NAME",
-           "sidecar_path"]
+__all__ = ["ShardedResultStore", "stream_records", "STATS_NAME", "SPANS_NAME",
+           "METRICS_NAME", "sidecar_path"]
 
 #: Record types a store line may decode to (see ``records.record_from_dict``).
 StoreRecord = Union[ScanRecord, RepairRecord]
 
 _LOG = get_logger("repro.service.store")
 
-#: Manifest file written at the root of a sharded store directory.
+#: Manifest file written at the root of a store directory.
 MANIFEST_NAME = "store.json"
-#: File name of the daemon's stats endpoint inside a sharded store directory
-#: (next to a legacy file it becomes ``<store>.stats.json``).
+#: File name of the daemon's stats endpoint inside a store directory.
 STATS_NAME = "stats.json"
-#: File name of the trace-span JSONL sidecar (same placement rules).
+#: File name of the trace-span JSONL sidecar inside a store directory.
 SPANS_NAME = "spans.jsonl"
-#: File name of the Prometheus metrics sidecar (same placement rules).
+#: File name of the Prometheus metrics sidecar inside a store directory.
 METRICS_NAME = "metrics.prom"
 #: Current sharded-store format version (checked on open).
 STORE_FORMAT = 1
@@ -64,25 +49,28 @@ STORE_FORMAT = 1
 DEFAULT_SHARD_WIDTH = 2
 
 
-def sidecar_path(store_path: str, name: str) -> str:
-    """Path of a store sidecar file (stats/spans/metrics) for any layout.
+def _store_dir(path: Union[str, os.PathLike]) -> str:
+    """``path`` as a string, without a trailing separator."""
+    return os.fspath(path).rstrip(os.sep) or os.sep
 
-    Sharded stores (directories, and extension-less paths that will become
-    directories) keep sidecars *inside* the store; a legacy single-file
-    store gets ``<store>.<name>`` siblings.
+
+def sidecar_path(store_path: str, name: str) -> str:
+    """Path of a store sidecar file: ``<store_path>/<name>``.
 
     Args:
-        store_path: The store path as given to :func:`open_store`.
-        name: Sidecar file name (:data:`STATS_NAME`, :data:`SPANS_NAME`,
-            :data:`METRICS_NAME`).
+        store_path: The store directory (a trailing separator is ignored).
+        name: Sidecar name (:data:`STATS_NAME`, :data:`SPANS_NAME`,
+            :data:`METRICS_NAME`, or ``fleet`` for the fleet queue).
     """
-    text = os.fspath(store_path)
-    if os.path.isfile(text):
-        return text + "." + name
-    if (os.path.isdir(text) or text.endswith(os.sep)
-            or os.path.splitext(text)[1] == ""):
-        return os.path.join(text.rstrip(os.sep), name)
-    return text + "." + name
+    return os.path.join(_store_dir(store_path), name)
+
+
+def _shard_names(root: str) -> List[str]:
+    """Sorted names of the shard files in store directory ``root``."""
+    if not os.path.isdir(root):
+        return []
+    return sorted(entry for entry in os.listdir(root)
+                  if entry.startswith("shard-") and entry.endswith(".jsonl"))
 
 
 def _iter_jsonl_records(path: str) -> Iterator[StoreRecord]:
@@ -120,138 +108,26 @@ def _encode(record: StoreRecord) -> bytes:
 
 
 def _append_line(path: str, data: bytes) -> None:
-    """Append ``data`` to ``path`` with a single ``O_APPEND`` write.
+    """Append the newline-terminated ``data`` to ``path`` (lock held).
 
-    ``O_APPEND`` makes the offset+write pair atomic in the kernel, so
-    concurrent appenders on a local filesystem never interleave within a
-    line; the sharded store additionally serializes writers with a per-shard
-    lock, making this belt-and-braces.
+    One ``O_APPEND`` write, so appenders never interleave within a line.  A
+    writer killed mid-``write`` (or a full disk) can leave a final fragment
+    without its newline: when the last byte is not ``\\n``, one is written
+    first, so replay skips the fragment instead of gluing ``data`` onto it.
+    A short write raises :class:`OSError`, so the caller never indexes a
+    line that is not fully on disk (the next append terminates it).
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
-        os.write(fd, data)
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = b"\n" + data
+        written = os.write(fd, data)
+        if written != len(data):
+            raise OSError(f"{path}: short append ({written} of {len(data)} "
+                          "bytes written)")
     finally:
         os.close(fd)
-
-
-class ResultStore:
-    """Persistent scan-result cache: one JSONL file, dict index in memory.
-
-    Args:
-        path: JSONL file path (created on first ``add``).
-
-    Single-writer by design — the scheduler's parent process appends, worker
-    processes only return records over the pool.  For concurrent writers use
-    :class:`ShardedResultStore` (or :func:`open_store` with a directory).
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = os.fspath(path)
-        self._index: Dict[str, StoreRecord] = {}
-        self._replay()
-
-    # ------------------------------------------------------------------ #
-    # Loading
-    # ------------------------------------------------------------------ #
-    def _replay(self) -> None:
-        """Rebuild the in-memory index from the log (latest record per key wins)."""
-        if not os.path.exists(self.path):
-            return
-        for record in _iter_jsonl_records(self.path):
-            self._index[record.key] = record
-
-    # ------------------------------------------------------------------ #
-    # Reads
-    # ------------------------------------------------------------------ #
-    def lookup(self, key: str) -> Optional[StoreRecord]:
-        """Latest record stored under ``key``, or ``None``."""
-        return self._index.get(key)
-
-    def __contains__(self, key: str) -> bool:
-        """True when ``key`` has a stored record."""
-        return key in self._index
-
-    def __len__(self) -> int:
-        """Number of distinct keys in the store."""
-        return len(self._index)
-
-    def records(self) -> List[StoreRecord]:
-        """All indexed records (one per key, latest wins), insertion-ordered."""
-        return list(self._index.values())
-
-    def scan_records(self) -> List[ScanRecord]:
-        """Only the :class:`ScanRecord` entries of :meth:`records`."""
-        return [r for r in self.records() if isinstance(r, ScanRecord)]
-
-    def repair_records(self) -> List[RepairRecord]:
-        """Only the :class:`RepairRecord` entries of :meth:`records`."""
-        return [r for r in self.records() if isinstance(r, RepairRecord)]
-
-    def __iter__(self) -> Iterator[StoreRecord]:
-        """Iterate over :meth:`records`."""
-        return iter(self.records())
-
-    # ------------------------------------------------------------------ #
-    # Writes
-    # ------------------------------------------------------------------ #
-    def add(self, record: StoreRecord) -> None:
-        """Append ``record`` to the log and index it."""
-        directory = os.path.dirname(os.path.abspath(self.path))
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        _append_line(self.path, _encode(record))
-        self._index[record.key] = record
-
-    def add_all(self, records: Iterable[StoreRecord]) -> None:
-        """Append every record in ``records`` (see :meth:`add`)."""
-        for record in records:
-            self.add(record)
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-    def compact(self) -> Dict[str, int]:
-        """Rewrite the log keeping only the latest record per key.
-
-        Returns:
-            Counters: ``lines_before``, ``records_after``, ``dropped``.
-        """
-        lines_before = 0
-        if os.path.exists(self.path):
-            for record in _iter_jsonl_records(self.path):
-                self._index[record.key] = record
-                lines_before += 1
-        survivors = self.records()
-        if os.path.exists(self.path) or survivors:
-            atomic_write(self.path,
-                         b"".join(_encode(r) for r in survivors).decode("utf-8"))
-        return {"lines_before": lines_before, "records_after": len(survivors),
-                "dropped": lines_before - len(survivors)}
-
-    def merge(self, other: Union[str, "ResultStore", "ShardedResultStore"]
-              ) -> Dict[str, int]:
-        """Fold a foreign store into this one, cache-key-aware.
-
-        Records whose key already exists here are skipped (the existing
-        verdict keeps winning cache lookups — for a given key both stores
-        hold the same deterministic verdict, so first-write-wins preserves
-        cache-hit semantics); unknown keys are appended.
-
-        Args:
-            other: A store instance or a path (:func:`open_store` is applied).
-
-        Returns:
-            Counters: ``merged``, ``skipped``.
-        """
-        source = open_store(other) if isinstance(other, (str, os.PathLike)) else other
-        merged = skipped = 0
-        for record in source.records():
-            if self.lookup(record.key) is not None:
-                skipped += 1
-                continue
-            self.add(record)
-            merged += 1
-        return {"merged": merged, "skipped": skipped}
 
 
 class ShardedResultStore:
@@ -259,7 +135,10 @@ class ShardedResultStore:
 
     Args:
         path: Store directory (created on demand, along with a ``store.json``
-            manifest recording the shard width).
+            manifest recording the shard width).  An existing regular file,
+            or a ``*.jsonl`` path that is not an existing directory, raises
+            :class:`ValueError` pointing at ``store merge``: a legacy
+            single-file store is imported, not opened.
         shard_width: Leading fingerprint hex chars per shard id; read back
             from the manifest when the store already exists.
         lock_timeout: Seconds an append/compaction waits for a shard lock
@@ -271,15 +150,17 @@ class ShardedResultStore:
         <path>/shard-<prefix>.jsonl  # records whose fingerprint starts <prefix>
         <path>/locks/<shard>.lock    # advisory per-shard writer locks
         <path>/stats.json            # daemon stats endpoint (optional)
-
-    Appends take the shard's :class:`~repro.service.locks.FileLock` and issue
-    one ``O_APPEND`` write, so any number of processes can write one store;
-    reads re-replay a shard only when its (mtime, size) signature changed.
     """
 
     def __init__(self, path: str, shard_width: int = DEFAULT_SHARD_WIDTH,
                  lock_timeout: Optional[float] = 30.0) -> None:
-        self.path = os.fspath(path)
+        self.path = _store_dir(path)
+        if os.path.isfile(self.path) or (self.path.endswith(".jsonl")
+                                         and not os.path.isdir(self.path)):
+            raise ValueError(
+                f"{self.path}: a result store is a directory, not a .jsonl "
+                "file; import a legacy file with `python -m repro store merge "
+                f"--store <dir> --source {self.path}`.")
         self.lock_timeout = lock_timeout
         self._index: Dict[str, StoreRecord] = {}
         #: shard file name -> (mtime_ns, size) signature at last replay.
@@ -329,15 +210,7 @@ class ShardedResultStore:
 
     def shard_names(self) -> List[str]:
         """Sorted names of the shard files currently on disk."""
-        if not os.path.isdir(self.path):
-            return []
-        return sorted(entry for entry in os.listdir(self.path)
-                      if entry.startswith("shard-") and entry.endswith(".jsonl"))
-
-    @property
-    def stats_path(self) -> str:
-        """Path of the daemon stats endpoint inside this store."""
-        return os.path.join(self.path, STATS_NAME)
+        return _shard_names(self.path)
 
     # ------------------------------------------------------------------ #
     # Loading / multi-writer visibility
@@ -467,23 +340,23 @@ class ShardedResultStore:
             totals["shards"] += 1
         return totals
 
-    def merge(self, other: Union[str, ResultStore, "ShardedResultStore"]
-              ) -> Dict[str, int]:
-        """Fold a foreign store (file or directory) in, cache-key-aware.
+    def merge(self, source: Union[str, os.PathLike]) -> Dict[str, int]:
+        """Fold a foreign store in, cache-key-aware.
 
         Keys already present locally are skipped — a merge never replaces a
         verdict that lookups are already hitting; unknown keys are appended
         to their shards, immediately becoming cache hits here.
 
         Args:
-            other: A store instance or a path (:func:`open_store` is applied).
+            source: A store directory, or a legacy single-file ``.jsonl``
+                store (this is its import path); read through
+                :func:`stream_records`.
 
         Returns:
             Counters: ``merged``, ``skipped``.
         """
-        source = open_store(other) if isinstance(other, (str, os.PathLike)) else other
         merged = skipped = 0
-        for record in source.records():
+        for record in stream_records(source):
             if self.lookup(record.key) is not None:
                 skipped += 1
                 continue
@@ -492,73 +365,34 @@ class ShardedResultStore:
         return {"merged": merged, "skipped": skipped}
 
 
-def open_store(path: Union[str, os.PathLike],
-               **kwargs) -> Union[ResultStore, ShardedResultStore]:
-    """Open the store at ``path``, picking the layout from the path itself.
-
-    Dispatch rules, in order:
-
-    1. an existing directory (or a path ending in the OS separator) opens as
-       a :class:`ShardedResultStore`;
-    2. an existing file opens as a legacy single-file :class:`ResultStore`;
-    3. otherwise the extension decides: no extension -> a fresh sharded
-       store directory, anything else (``scan_results.jsonl``) -> a fresh
-       legacy file.
-
-    Args:
-        path: Store directory or JSONL file.
-        **kwargs: Forwarded to the chosen store constructor
-            (e.g. ``shard_width`` / ``lock_timeout`` for sharded stores).
-
-    Returns:
-        The opened store; both classes share the read/write interface.
-    """
-    text = os.fspath(path)
-    if os.path.isdir(text) or text.endswith(os.sep):
-        return ShardedResultStore(text.rstrip(os.sep), **kwargs)
-    if os.path.isfile(text):
-        return ResultStore(text)
-    if os.path.splitext(text)[1] == "":
-        return ShardedResultStore(text, **kwargs)
-    return ResultStore(text)
-
-
 def stream_records(path: Union[str, os.PathLike]) -> Iterator[StoreRecord]:
     """Stream a store's records shard by shard, without a full index.
 
     Yields the same records in the same order as opening the store and
     calling ``records()`` — one record per key, latest line wins — but the
     working set is bounded by the *largest shard* instead of the whole
-    store: read-only consumers (``repro report``, ad-hoc scripts) never pay
-    for the in-memory index the caching stores build on open.
+    store: read-only consumers (``repro report``, ``store merge``, ad-hoc
+    scripts) never pay for the in-memory index the store builds on open.
 
     Per-shard deduplication is sufficient because a record's shard is
     addressed by its key's fingerprint prefix: a key never spans shards,
     and replaying shards in sorted name order reproduces the index's
-    insertion order exactly.  A missing store yields nothing.
+    insertion order exactly.  A legacy single-file ``.jsonl`` store is
+    read as one shard (the import path of ``store merge``).  A missing
+    path yields nothing.
 
     Args:
-        path: Store directory (sharded layout) or JSONL file (legacy).
+        path: Store directory, or a legacy JSONL store file.
 
     Yields:
         :class:`~repro.service.records.ScanRecord` /
         :class:`~repro.service.records.RepairRecord` instances.
     """
-    text = os.fspath(path)
-    if os.path.isdir(text) or text.endswith(os.sep):
-        root = text.rstrip(os.sep)
-        names = sorted(entry for entry in os.listdir(root)
-                       if entry.startswith("shard-")
-                       and entry.endswith(".jsonl"))
-        for name in names:
-            latest: Dict[str, StoreRecord] = {}
-            for record in _iter_jsonl_records(os.path.join(root, name)):
-                latest[record.key] = record
-            yield from latest.values()
-        return
-    if not os.path.isfile(text):
-        return
-    latest = {}
-    for record in _iter_jsonl_records(text):
-        latest[record.key] = record
-    yield from latest.values()
+    text = _store_dir(path)
+    files = ([text] if os.path.isfile(text) else
+             [os.path.join(text, name) for name in _shard_names(text)])
+    for file in files:
+        latest: Dict[str, StoreRecord] = {}
+        for record in _iter_jsonl_records(file):
+            latest[record.key] = record
+        yield from latest.values()

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.models import build_model
 from repro.nn.serialization import save_model
 from repro.obs.metrics import parse_prometheus_text
-from repro.service import JobQueue, ScanRequest, ScanScheduler, open_store
+from repro.service import JobQueue, ScanRequest, ScanScheduler
 from repro.service.api import ApiServer
 from repro.service.cli import main as cli_main
 
@@ -296,7 +296,7 @@ class TestConcurrentClients:
         # Verdict parity with the serial CLI path: scan the same
         # checkpoints through `python -m repro scan` into a fresh store.
         for client_id, ckpt in enumerate(checkpoints):
-            cli_store = str(tmp_path / "cli_store.jsonl")
+            cli_store = str(tmp_path / "cli_store")
             assert cli_main(["scan", ckpt, "--store", cli_store,
                              "--json", *TINY_FLAGS]) == 0
             cli_record = json.loads(capsys.readouterr().out)[0]

@@ -29,7 +29,7 @@ from repro.service import (
     execute_resolved,
 )
 from repro.service.cli import main as cli_main
-from repro.service.daemon import default_stats_path, run_scan_in_child
+from repro.service.daemon import run_scan_in_child
 from repro.service.scheduler import LATENCY_WINDOW
 
 
@@ -315,10 +315,8 @@ class TestWatchDaemon:
         assert daemon.stats()["failures"] == 1
 
     def test_default_stats_path(self, tmp_path):
-        assert default_stats_path(str(tmp_path / "storedir")) == str(
-            tmp_path / "storedir" / "stats.json")
-        assert default_stats_path(str(tmp_path / "s.jsonl")) == str(
-            tmp_path / "s.jsonl.stats.json")
+        assert _daemon(tmp_path, store_path=str(tmp_path / "storedir")
+                       ).stats_path == str(tmp_path / "storedir" / "stats.json")
 
 
 class TestAutoRepair:

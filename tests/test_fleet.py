@@ -99,6 +99,17 @@ class TestFleetQueue:
         assert state[first].result == {"value": 1, "pid": 101}
         assert state[second].status == "queued"
 
+    def test_torn_jobs_tail_does_not_swallow_next_submit(self, store, clock):
+        queue = make_queue(store, clock)
+        queue.submit("probe", {"value": 1})
+        jobs_log = os.path.join(fleet_dir(store), "jobs.jsonl")
+        with open(jobs_log, "a", encoding="utf-8") as handle:
+            handle.write('{"event": "submit", "job": "torn')  # killed writer
+        job_id = queue.submit("probe", {"value": 2})
+        assert job_id in queue.poll()
+        fresh = make_queue(store, clock, reader_id="fresh")
+        assert fresh.poll([job_id])[job_id].payload == {"value": 2}
+
     def test_lower_priority_number_runs_first(self, store, clock):
         queue = make_queue(store, clock)
         slow = queue.submit("probe", {}, priority=5)

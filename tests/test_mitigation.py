@@ -35,10 +35,10 @@ from repro.nn.serialization import load_model, save_model
 from repro.service import (
     RepairRecord,
     RepairRequest,
-    ResultStore,
     ScanRecord,
     ScanRequest,
     ScanScheduler,
+    ShardedResultStore,
     record_from_dict,
     resolve_repair,
     run_repairs,
@@ -324,7 +324,7 @@ class TestRepairService:
         assert isinstance(record_from_dict(scan_payload), ScanRecord)
 
     def test_store_mixes_scan_and_repair_records(self, tmp_path):
-        store = ResultStore(str(tmp_path / "mixed.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "mixed"))
         scan = ScanRecord(key="k1", fingerprint="f1", config_digest="d",
                           checkpoint="a.npz", model="m", dataset="ds",
                           detector="usb", is_backdoored=True,
@@ -336,7 +336,7 @@ class TestRepairService:
                               success=True)
         store.add(scan)
         store.add(repair)
-        reloaded = ResultStore(str(tmp_path / "mixed.jsonl"))
+        reloaded = ShardedResultStore(str(tmp_path / "mixed"))
         assert len(reloaded) == 2
         assert [r.key for r in reloaded.scan_records()] == ["k1"]
         assert [r.key for r in reloaded.repair_records()] == ["k2"]
@@ -357,7 +357,7 @@ class TestRepairService:
     def test_run_repairs_cache_hits_second_batch(self, tmp_path):
         path = tmp_path / "m.npz"
         _save_untrained(path, seed=5)
-        store = ResultStore(str(tmp_path / "repairs.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "repairs"))
         scheduler = ScanScheduler(store=store, workers=0)
         first = run_repairs(scheduler, [_tiny_repair_request(path)])
         assert not first[0].cache_hit
@@ -374,7 +374,7 @@ class TestRepairService:
             paths.append(path)
 
         def _run(store_name, workers):
-            store = ResultStore(str(tmp_path / store_name))
+            store = ShardedResultStore(str(tmp_path / store_name))
             scheduler = ScanScheduler(store=store, workers=workers)
             return run_repairs(scheduler,
                                [_tiny_repair_request(p) for p in paths])
@@ -390,8 +390,8 @@ class TestRepairService:
                                  if k != "seconds"}
             return payload
 
-        serial = [_normalize(r) for r in _run("serial.jsonl", 0)]
-        pooled = [_normalize(r) for r in _run("pooled.jsonl", 2)]
+        serial = [_normalize(r) for r in _run("serial", 0)]
+        pooled = [_normalize(r) for r in _run("pooled", 2)]
         assert serial == pooled
 
     def test_repair_cli_second_run_is_cache_hit(self, tmp_path, capsys,
@@ -403,7 +403,7 @@ class TestRepairService:
                 "--clean-budget", "10", "--samples-per-class", "3",
                 "--iterations", "2", "--strategy", "unlearn",
                 "--unlearn-epochs", "1", "--no-rescan",
-                "--store", "repairs.jsonl"]
+                "--store", "repairs"]
         assert cli_main(argv) == 0
         capsys.readouterr()
         assert cli_main(argv + ["--json"]) == 0
@@ -411,7 +411,7 @@ class TestRepairService:
         assert len(payload) == 1
         assert payload[0]["cache_hit"] is True
         # the store holds exactly one repair record
-        store = ResultStore(str(tmp_path / "repairs.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "repairs"))
         assert len(store.repair_records()) == 1
 
     def test_report_renders_mixed_store(self, tmp_path, capsys, monkeypatch):
@@ -422,13 +422,13 @@ class TestRepairService:
                          "--classes", "0,1", "--clean-budget", "10",
                          "--samples-per-class", "3", "--iterations", "2",
                          "--strategy", "prune", "--no-rescan",
-                         "--store", "mixed.jsonl"]) == 0
+                         "--store", "mixed"]) == 0
         assert cli_main(["scan", str(path), "--detector", "nc",
                          "--classes", "0,1", "--clean-budget", "10",
                          "--samples-per-class", "3", "--iterations", "2",
-                         "--store", "mixed.jsonl"]) == 0
+                         "--store", "mixed"]) == 0
         capsys.readouterr()
-        assert cli_main(["report", "--store", "mixed.jsonl"]) == 0
+        assert cli_main(["report", "--store", "mixed"]) == 0
         out = capsys.readouterr().out
         assert "1 record(s)" in out
         assert "1 repair record(s)" in out

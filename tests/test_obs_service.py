@@ -221,24 +221,24 @@ class TestObservabilityCLI:
         assert cli_main(["scan", "m.npz", "--classes", "0,1",
                          "--iterations", "2", "--clean-budget", "10",
                          "--samples-per-class", "3",
-                         "--store", "scans.jsonl"]) == 0
+                         "--store", "scans"]) == 0
         out = capsys.readouterr().out
         trace_line = next(line for line in out.splitlines()
                           if line.strip().startswith("trace:"))
         trace_id = trace_line.split()[1]
-        assert os.path.exists(sidecar_path("scans.jsonl", SPANS_NAME))
+        assert os.path.exists(sidecar_path("scans", SPANS_NAME))
 
         # Listing, then the rendered tree for the printed id.
-        assert cli_main(["trace", "--store", "scans.jsonl"]) == 0
+        assert cli_main(["trace", "--store", "scans"]) == 0
         listing = capsys.readouterr().out
         assert trace_id in listing and "scan.request" in listing
-        assert cli_main(["trace", trace_id, "--store", "scans.jsonl"]) == 0
+        assert cli_main(["trace", trace_id, "--store", "scans"]) == 0
         tree = capsys.readouterr().out
         assert f"trace {trace_id}" in tree
         assert "worker.scan" in tree and "scan.fingerprint" in tree
 
         # Metrics exposition over the same store parses and has the scan.
-        assert cli_main(["metrics", "--store", "scans.jsonl"]) == 0
+        assert cli_main(["metrics", "--store", "scans"]) == 0
         samples = parse_prometheus_text(capsys.readouterr().out)
         assert samples["repro_scan_latency_seconds_count"][0][1] == 1.0
         assert "repro_activation_cache_hit_ratio" in samples
@@ -247,7 +247,7 @@ class TestObservabilityCLI:
                                             monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli_main(["trace", "deadbeefdeadbeef",
-                         "--store", "scans.jsonl"]) == 1
+                         "--store", "scans"]) == 1
         assert "no spans" in capsys.readouterr().err
 
     def test_metrics_output_file(self, tmp_path, capsys, monkeypatch):
@@ -256,9 +256,9 @@ class TestObservabilityCLI:
         assert cli_main(["scan", "m.npz", "--classes", "0,1",
                          "--iterations", "2", "--clean-budget", "10",
                          "--samples-per-class", "3",
-                         "--store", "scans.jsonl"]) == 0
+                         "--store", "scans"]) == 0
         capsys.readouterr()
-        assert cli_main(["metrics", "--store", "scans.jsonl",
+        assert cli_main(["metrics", "--store", "scans",
                          "--output", "out.prom"]) == 0
         parse_prometheus_text(open("out.prom").read())
 
@@ -269,9 +269,9 @@ class TestObservabilityCLI:
         assert cli_main(["scan", "m.npz", "--classes", "0,1",
                          "--iterations", "2", "--clean-budget", "10",
                          "--samples-per-class", "3", "--no-telemetry",
-                         "--store", "scans.jsonl"]) == 0
+                         "--store", "scans"]) == 0
         assert "trace:" not in capsys.readouterr().out
-        assert not os.path.exists(sidecar_path("scans.jsonl", SPANS_NAME))
+        assert not os.path.exists(sidecar_path("scans", SPANS_NAME))
 
     def test_report_json_includes_metrics_summary(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -280,9 +280,9 @@ class TestObservabilityCLI:
         assert cli_main(["scan", "m.npz", "--classes", "0,1",
                          "--iterations", "2", "--clean-budget", "10",
                          "--samples-per-class", "3",
-                         "--store", "scans.jsonl"]) == 0
+                         "--store", "scans"]) == 0
         capsys.readouterr()
-        assert cli_main(["report", "--store", "scans.jsonl", "--json"]) == 0
+        assert cli_main(["report", "--store", "scans", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         metrics = payload["metrics"]
         assert metrics["scans"] == 1

@@ -49,7 +49,7 @@ from repro.models import build_model
 from repro.nn import Tensor
 from repro.nn.layers import Module
 from repro.nn.serialization import save_model
-from repro.service import ResultStore, ScanScheduler
+from repro.service import ScanScheduler, ShardedResultStore
 from repro.service.records import ScanRequest
 from repro.service.scheduler import resolve_request
 
@@ -559,7 +559,7 @@ class TestScenarioGrid:
     def test_scheduler_parity_and_distinct_store_digests(self, tmp_path):
         config = _micro_scenario_config()
         serial = run_experiment(config, seed=3)
-        store = ResultStore(str(tmp_path / "scn.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "scn"))
         parallel = run_experiment(
             config, seed=3, scheduler=ScanScheduler(store=store, workers=2))
         assert serial.rows() == parallel.rows()
@@ -608,7 +608,7 @@ class TestServiceScenarioKeys:
     def test_scenario_scan_caches_within_but_not_across(self, tmp_path):
         path = tmp_path / "m.npz"
         self._save(path)
-        store = ResultStore(str(tmp_path / "scenario.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "scenario"))
         scheduler = ScanScheduler(store=store, workers=0)
         base = dict(checkpoint=str(path), detector="nc", classes=(0, 1, 2),
                     clean_budget=8, samples_per_class=3, iterations=2, seed=0)

@@ -28,10 +28,10 @@ from repro.nn.serialization import (
     save_state_dict,
 )
 from repro.service import (
-    ResultStore,
     ScanRecord,
     ScanRequest,
     ScanScheduler,
+    ShardedResultStore,
     digest_config,
     fingerprint_checkpoint,
     fingerprint_model,
@@ -185,12 +185,12 @@ def _dummy_record(key="k1", backdoored=False):
 
 class TestResultStore:
     def test_add_lookup_and_reload(self, tmp_path):
-        path = tmp_path / "store.jsonl"
-        store = ResultStore(str(path))
+        path = tmp_path / "store"
+        store = ShardedResultStore(str(path))
         assert len(store) == 0 and store.lookup("k1") is None
         store.add(_dummy_record("k1", backdoored=True))
         assert "k1" in store
-        reloaded = ResultStore(str(path))
+        reloaded = ShardedResultStore(str(path))
         record = reloaded.lookup("k1")
         assert record is not None and record.is_backdoored
         assert record.flagged_classes == (0,)
@@ -199,19 +199,19 @@ class TestResultStore:
         assert detection.suspect_class == 0
 
     def test_latest_record_wins(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "s"))
         store.add(_dummy_record("k", backdoored=False))
         store.add(_dummy_record("k", backdoored=True))
         assert len(store) == 1
-        assert ResultStore(store.path).lookup("k").is_backdoored
+        assert ShardedResultStore(store.path).lookup("k").is_backdoored
 
     def test_torn_final_line_is_skipped(self, tmp_path):
-        path = tmp_path / "s.jsonl"
-        store = ResultStore(str(path))
+        path = tmp_path / "s"
+        store = ShardedResultStore(str(path))
         store.add(_dummy_record("k1"))
-        with open(path, "a", encoding="utf-8") as handle:
+        with open(path / store.shard_name("k2"), "a", encoding="utf-8") as handle:
             handle.write('{"key": "k2", "trunc')
-        reloaded = ResultStore(str(path))
+        reloaded = ShardedResultStore(str(path))
         assert len(reloaded) == 1 and "k2" not in reloaded
 
     def test_cache_hit_flag_never_persisted(self, tmp_path):
@@ -227,7 +227,7 @@ class TestScheduler:
     def test_repeat_scan_is_cache_hit(self, tmp_path):
         ckpt = tmp_path / "m.npz"
         _save_tiny(ckpt, seed=11)
-        store = ResultStore(str(tmp_path / "s.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "s"))
         scheduler = ScanScheduler(store=store, workers=0)
         first = scheduler.scan_one(_tiny_request(ckpt))
         second = scheduler.scan_one(_tiny_request(ckpt))
@@ -240,7 +240,7 @@ class TestScheduler:
     def test_config_change_misses_cache(self, tmp_path):
         ckpt = tmp_path / "m.npz"
         _save_tiny(ckpt, seed=12)
-        store = ResultStore(str(tmp_path / "s.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "s"))
         scheduler = ScanScheduler(store=store, workers=0)
         scheduler.scan_one(_tiny_request(ckpt, iterations=2))
         scheduler.scan_one(_tiny_request(ckpt, iterations=3))
@@ -249,7 +249,7 @@ class TestScheduler:
     def test_duplicates_in_one_batch_computed_once(self, tmp_path):
         ckpt = tmp_path / "m.npz"
         _save_tiny(ckpt, seed=13)
-        store = ResultStore(str(tmp_path / "s.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "s"))
         scheduler = ScanScheduler(store=store, workers=0)
         records = scheduler.scan([_tiny_request(ckpt), _tiny_request(ckpt)])
         assert len(records) == 2 and len(store) == 1
@@ -263,7 +263,7 @@ class TestScheduler:
         renamed = tmp_path / "renamed.npz"
         import shutil
         shutil.copy(original, renamed)  # identical weights, different path
-        store = ResultStore(str(tmp_path / "s.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "s"))
         scheduler = ScanScheduler(store=store, workers=0)
         scheduler.scan_one(_tiny_request(original))
         hit = scheduler.scan_one(_tiny_request(renamed))
@@ -348,7 +348,7 @@ class TestFleetDispatch:
     def test_scheduler_fleet_matches_serial(self, tmp_path):
         config = _micro_config()
         serial = run_experiment(config, seed=3)
-        store = ResultStore(str(tmp_path / "fleet.jsonl"))
+        store = ShardedResultStore(str(tmp_path / "fleet"))
         parallel = run_experiment(
             config, seed=3, scheduler=ScanScheduler(store=store, workers=2),
             checkpoint_dir=str(tmp_path / "ckpts"))
@@ -408,7 +408,7 @@ class TestCLI:
         assert cli_main(args) == 0
         second = capsys.readouterr().out
         assert "cache hit" in second
-        assert (tmp_path / "scan_results.jsonl").exists()
+        assert (tmp_path / "scan_results" / "store.json").exists()
 
     def test_grid_and_report(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -417,14 +417,14 @@ class TestCLI:
         assert cli_main(["grid", "a.npz", "b.npz", "--detectors", "usb,nc",
                          "--classes", "0,1,2", "--iterations", "2",
                          "--clean-budget", "10", "--samples-per-class", "3",
-                         "--store", "g.jsonl"]) == 0
+                         "--store", "g"]) == 0
         out = capsys.readouterr().out
         assert sum(line.rstrip().endswith("miss") for line in out.splitlines()) == 4
         assert "misses=4" in out
-        assert cli_main(["report", "--store", "g.jsonl"]) == 0
+        assert cli_main(["report", "--store", "g"]) == 0
         report = capsys.readouterr().out
         assert "4 record(s)" in report
-        assert cli_main(["report", "--store", "g.jsonl", "--detector", "nc"]) == 0
+        assert cli_main(["report", "--store", "g", "--detector", "nc"]) == 0
         assert "2 record(s)" in capsys.readouterr().out
 
     def test_scan_json_output(self, tmp_path, capsys, monkeypatch):
@@ -443,8 +443,9 @@ class TestCLI:
 
     def test_report_empty_store(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert cli_main(["report", "--store", "none.jsonl"]) == 0
-        assert "no records" in capsys.readouterr().out
+        for missing in ("none", "none/", "none.jsonl"):
+            assert cli_main(["report", "--store", missing]) == 0
+            assert "no records" in capsys.readouterr().out
 
     def test_format_scan_records_empty(self):
         assert format_scan_records([]) == "(no scan records)"

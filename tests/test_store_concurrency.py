@@ -19,13 +19,12 @@ from repro.nn.serialization import save_model
 from repro.service import (
     FileLock,
     LockTimeout,
-    ResultStore,
     ScanRequest,
     ScanScheduler,
     ShardedResultStore,
     atomic_write,
-    open_store,
 )
+from repro.service.cli import main as cli_main
 from repro.service.records import ScanRecord
 
 
@@ -205,16 +204,42 @@ class TestShardedStore:
         ShardedResultStore(path, shard_width=1).add(_record(1))
         assert ShardedResultStore(path, shard_width=3).shard_width == 1
 
-    def test_open_store_dispatch(self, tmp_path):
-        assert isinstance(open_store(str(tmp_path / "a.jsonl")), ResultStore)
-        assert isinstance(open_store(str(tmp_path / "dirstore")),
-                          ShardedResultStore)
-        os.makedirs(tmp_path / "existing.dir")
-        assert isinstance(open_store(str(tmp_path / "existing.dir")),
-                          ShardedResultStore)
-        legacy = ResultStore(str(tmp_path / "b.jsonl"))
-        legacy.add(_record(1))
-        assert isinstance(open_store(str(tmp_path / "b.jsonl")), ResultStore)
+    def test_append_after_torn_tail_survives_reopen(self, tmp_path):
+        path = str(tmp_path / "store")
+        store = ShardedResultStore(path)
+        store.add(_record(1, fingerprint="ab" * 32))
+        with open(os.path.join(path, "shard-ab.jsonl"), "a",
+                  encoding="utf-8") as handle:
+            handle.write('{"key": "torn')  # writer killed mid-append
+        survivor = _record(2, fingerprint="ab" + "cd" * 31)
+        store.add(survivor)  # same shard as the fragment
+        reopened = ShardedResultStore(path)
+        assert len(reopened) == 2
+        assert reopened.lookup(survivor.key) is not None
+
+    def test_short_write_raises_and_is_not_indexed(self, tmp_path,
+                                                  monkeypatch):
+        path = str(tmp_path / "store")
+        store = ShardedResultStore(path)
+        real_write = os.write
+        monkeypatch.setattr(  # a full disk: half the line reaches the file
+            os, "write", lambda fd, data: real_write(fd, data[:len(data) // 2]))
+        lost = _record(1, fingerprint="ab" * 32)
+        with pytest.raises(OSError, match="short append"):
+            store.add(lost)
+        monkeypatch.setattr(os, "write", real_write)
+        assert store.lookup(lost.key) is None
+        survivor = _record(2, fingerprint="ab" + "cd" * 31)
+        store.add(survivor)
+        reopened = ShardedResultStore(path)
+        assert reopened.lookup(survivor.key) is not None
+        assert reopened.lookup(lost.key) is None
+
+    def test_directory_named_jsonl_opens_as_store(self, tmp_path):
+        os.makedirs(tmp_path / "existing.jsonl")
+        store = ShardedResultStore(str(tmp_path / "existing.jsonl") + os.sep)
+        store.add(_record(1))
+        assert len(ShardedResultStore(str(tmp_path / "existing.jsonl"))) == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -300,13 +325,6 @@ class TestCompactMerge:
         assert len(reopened) == 2
         assert reopened.lookup(old.key).seconds == 9.0
 
-    def test_compact_legacy_store(self, tmp_path):
-        store = ResultStore(str(tmp_path / "s.jsonl"))
-        store.add_all([_record(1, seconds=1.0), _record(1, seconds=5.0)])
-        result = store.compact()
-        assert result == {"lines_before": 2, "records_after": 1, "dropped": 1}
-        assert len(ResultStore(str(tmp_path / "s.jsonl"))) == 1
-
     def test_merge_is_cache_key_aware(self, tmp_path):
         dest = ShardedResultStore(str(tmp_path / "dest"))
         shared_old = _record(1, seconds=1.0)
@@ -340,8 +358,50 @@ class TestCompactMerge:
         assert scheduler.cache_hits == 1 and scheduler.cache_misses == 0
 
     def test_merge_from_legacy_into_sharded(self, tmp_path):
-        legacy = ResultStore(str(tmp_path / "old.jsonl"))
-        legacy.add_all([_record(i) for i in range(3)])
+        legacy = _write_legacy_file(tmp_path / "old.jsonl",
+                                    [_record(i) for i in range(3)])
         dest = ShardedResultStore(str(tmp_path / "dest"))
-        assert dest.merge(str(tmp_path / "old.jsonl"))["merged"] == 3
+        assert dest.merge(legacy)["merged"] == 3
         assert len(dest) == 3
+
+
+# ---------------------------------------------------------------------- #
+# Migrating a legacy single-file store
+# ---------------------------------------------------------------------- #
+def _write_legacy_file(path, records):
+    """A single-file store in the old line format: one sorted-key JSON line
+    per record (spans stripped), the latest line per key winning."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            payload = record.to_dict()
+            payload.pop("spans", None)
+            handle.write(json.dumps(payload, sort_keys=True) + "\n")
+    return str(path)
+
+
+class TestLegacyImport:
+    def test_store_merge_cli_imports_legacy_file(self, tmp_path, capsys):
+        ckpt = tmp_path / "m.npz"
+        _save_tiny(ckpt, seed=4)
+        request = _tiny_request(ckpt)
+        computed = ScanScheduler(store=None, workers=0).scan([request])[0]
+        legacy = _write_legacy_file(
+            tmp_path / "scan_results.jsonl",
+            [_record(1, seconds=1.0), _record(1, seconds=7.0), computed])
+        store_dir = str(tmp_path / "scan_results")
+        assert cli_main(["store", "merge", "--store", store_dir,
+                         "--source", legacy]) == 0
+        assert "merged 2 record(s)" in capsys.readouterr().out
+        store = ShardedResultStore(store_dir)
+        assert store.lookup(_record(1).key).seconds == 7.0  # latest line
+        scheduler = ScanScheduler(store=store, workers=0)
+        hit = scheduler.scan([request])[0]
+        assert hit.cache_hit and scheduler.cache_misses == 0
+        assert hit.flagged_classes == computed.flagged_classes
+
+    def test_opening_legacy_file_points_at_store_merge(self, tmp_path):
+        legacy = _write_legacy_file(tmp_path / "old.jsonl", [_record(1)])
+        for path in (legacy, str(tmp_path / "fresh.jsonl")):
+            with pytest.raises(ValueError, match="store merge"):
+                ShardedResultStore(path)
+        assert not os.path.exists(tmp_path / "fresh.jsonl")

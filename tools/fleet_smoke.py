@@ -45,7 +45,7 @@ from repro.service.api import ApiServer  # noqa: E402
 from repro.service.fleet import FleetQueue, fleet_snapshot  # noqa: E402
 from repro.service.records import ScanRequest  # noqa: E402
 from repro.service.scheduler import ScanScheduler  # noqa: E402
-from repro.service.store import open_store  # noqa: E402
+from repro.service.store import ShardedResultStore  # noqa: E402
 
 TINY = {"classes": (0, 1, 2), "clean_budget": 10, "samples_per_class": 3,
         "iterations": 2, "uap_passes": 1}
@@ -114,14 +114,15 @@ def _phase_parity(tmp: str, checkpoints) -> int:
                 for ckpt in checkpoints for detector in ("usb", "nc")]
 
     inline_store = os.path.join(tmp, "store_inline")
-    inline = ScanScheduler(store=open_store(inline_store), backend="inline")
+    inline = ScanScheduler(store=ShardedResultStore(inline_store),
+                           backend="inline")
     baseline = inline.scan(requests)
 
     fleet_store = os.path.join(tmp, "store_fleet")
     workers = [_spawn_worker(fleet_store, "--idle-timeout", "30")
                for _ in range(3)]
     try:
-        fleet = ScanScheduler(store=open_store(fleet_store),
+        fleet = ScanScheduler(store=ShardedResultStore(fleet_store),
                               backend="fleet").scan(requests)
     finally:
         _reap(workers)
