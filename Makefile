@@ -7,7 +7,7 @@ TIER1_TIMEOUT ?= 120
 # Budget for the scenario-matrix smoke run (seconds).
 SCENARIOS_TIMEOUT ?= 300
 
-.PHONY: test tier1 lint lint-baseline bench bench-detection examples scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke bench-selftest service-example
+.PHONY: test tier1 lint lint-baseline bench bench-detection examples scenarios docs docs-check daemon-smoke repair-smoke mega-smoke obs-smoke api-smoke fleet-smoke bench-selftest bench-layers service-example
 
 ## Tier-1 unit suite (tests/ only; benchmarks/ are excluded via pytest.ini).
 test: tier1
@@ -92,6 +92,15 @@ mega-smoke:
 ## 2 vCPUs).  Fails when a refactor breaks a harness hook.
 bench-selftest:
 	$(PYTHON) perfbench/selftest.py --runs
+
+## Layer attribution of the mega_cold_grid workload (~45 s on 2 vCPUs,
+## noisy; not a CI gate): one traced run, printing the end-to-end
+## `metric:` lines and the per-op `layer:` lines (nn.col2im.s, ...) that an
+## optimisation's before/after cites.
+bench-layers:
+	@out=$$($(PYTHON) perfbench/run.py --workload mega_cold_grid --seed 1 \
+	  --seconds 15 --trace 1 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E '^(metric|layer): '
 
 ## Service example: scan, a cache hit, grid and report through the CLI's
 ## default store (~50 s on 2 vCPUs).

@@ -100,7 +100,26 @@ def im2col(x: np.ndarray, kernel_h: int, kernel_w: int, stride: int,
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kernel_h: int,
            kernel_w: int, stride: int, padding: int) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back into an image."""
+    """Adjoint of :func:`im2col`: scatter-add tap-major columns into an image.
+
+    Parameters
+    ----------
+    cols:
+        Columns in tap-major layout: any array that reshapes to
+        ``(N, kernel_h, kernel_w, C, out_h, out_w)`` (e.g. ``(N, kh·kw·C,
+        out_h·out_w)`` from a batched GEMM, or a broadcast view).  This is
+        *not* the channel-last ``(N, out_h, out_w, C·kh·kw)`` layout
+        :func:`im2col` returns: each tap ``(i, j)`` is one contiguous
+        ``(N, C, out_h, out_w)`` block, so every strided add reads it
+        sequentially.
+    x_shape:
+        Shape ``(N, C, H, W)`` of the image the columns came from.
+
+    Returns
+    -------
+    Array of shape ``x_shape``: each tap block added into the input positions
+    it was read from, taps in row-major ``(i, j)`` order.
+    """
     batch, channels, height, width = x_shape
     out_h = (height + 2 * padding - kernel_h) // stride + 1
     out_w = (width + 2 * padding - kernel_w) // stride + 1
@@ -108,14 +127,13 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int], kernel_h: int,
     padded = np.zeros(
         (batch, channels, height + 2 * padding, width + 2 * padding),
         dtype=cols.dtype)
-    cols = cols.reshape(batch, out_h, out_w, channels, kernel_h, kernel_w)
-    cols = cols.transpose(0, 3, 1, 2, 4, 5)  # (N, C, out_h, out_w, kh, kw)
+    cols = cols.reshape(batch, kernel_h, kernel_w, channels, out_h, out_w)
 
     for i in range(kernel_h):
         i_end = i + stride * out_h
         for j in range(kernel_w):
             j_end = j + stride * out_w
-            padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, :, :, i, j]
+            padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, i, j]
 
     if padding > 0:
         return padded[:, :, padding:-padding, padding:-padding]
@@ -176,9 +194,12 @@ def _conv2d_input_grad(grad_out: np.ndarray, weight: np.ndarray,
     """Gradient of a convolution w.r.t. its input, as a transposed convolution.
 
     Runs the standard identity ``grad_x = conv(dilate(grad_out), flip(W)ᵀ)``
-    through the same im2col + GEMM/einsum machinery as the forward pass, which
-    is several times faster than the col2im scatter-add loop (one strided pass
-    per kernel position) it replaces.
+    through the same im2col + GEMM/einsum machinery as the forward pass.
+    :func:`conv2d` routes contracting convs (``C > OC``) and every grouped
+    conv here, since the transpose touches OC·k² columns; spatial-heavy
+    depthwise convs take the per-tap scatter below instead.  Expanding convs
+    (``groups == 1``, ``C <= OC``) touch fewer columns through the tap-major
+    GEMM + :func:`col2im` route in :func:`conv2d` and never reach this.
     """
     batch, in_channels, height, width = x_shape
     out_channels, in_per_group, kernel_h, kernel_w = weight.shape
@@ -309,13 +330,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
                 weight._accumulate(grad_w.reshape(weight.data.shape))
         if x.requires_grad:
             if groups == 1 and in_channels <= out_channels:
-                # grad-cols GEMM + col2im scatter touches C·k² columns; the
-                # transposed-conv route touches OC·k² (on the s²-dilated
-                # gradient).  Pick per shape: expanding convs (C <= OC) go
-                # through col2im, contracting ones through the transpose.
-                w_mat_local = weight.data.reshape(out_channels, -1)
-                grad_cols = (grad_out.reshape(-1, out_channels)
-                             @ w_mat_local).reshape(batch, out_h, out_w, patch)
+                # Expanding convs (C <= OC) scatter C·k² columns through
+                # col2im, built tap-major (N, k²·C, oh·ow) by one batched
+                # GEMM straight from the NCHW gradient.  Contracting convs
+                # take the transposed conv, which touches OC·k² columns.
+                w_tap = weight.data.reshape(
+                    out_channels, in_channels, kernel_h * kernel_w
+                ).transpose(2, 1, 0).reshape(patch, out_channels)
+                grad_cols = np.matmul(
+                    w_tap, grad.reshape(batch, out_channels, out_h * out_w))
                 grad_x = col2im(grad_cols, x.data.shape, kernel_h, kernel_w,
                                 stride, padding)
             else:
@@ -342,13 +365,13 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad_perm = grad.transpose(0, 2, 3, 1)  # (N, oh, ow, C)
+        # One-hot tap-major columns (N, k², C, oh, ow): each window's
+        # gradient lands on the tap that held its max.
         grad_cols = np.zeros(
-            (batch, out_h, out_w, channels, kernel_size * kernel_size),
+            (batch, kernel_size * kernel_size, channels, out_h, out_w),
             dtype=grad.dtype)
-        np.put_along_axis(grad_cols, argmax[..., None], grad_perm[..., None], axis=-1)
-        grad_cols = grad_cols.reshape(batch, out_h, out_w,
-                                      channels * kernel_size * kernel_size)
+        np.put_along_axis(grad_cols, argmax.transpose(0, 3, 1, 2)[:, None],
+                          grad[:, None], axis=1)
         grad_x = col2im(grad_cols, x.data.shape, kernel_size, kernel_size, stride, 0)
         x._accumulate(grad_x)
 
@@ -395,9 +418,9 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Ten
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad_perm = grad.transpose(0, 2, 3, 1) / window
-        grad_cols = np.repeat(grad_perm[..., None], window, axis=-1)
-        grad_cols = grad_cols.reshape(batch, out_h, out_w, channels * window)
+        # Every tap of a window gets the same share: a stride-0 tap axis.
+        grad_cols = np.broadcast_to((grad / window)[:, None],
+                                    (batch, window, channels, out_h, out_w))
         grad_x = col2im(grad_cols, x.data.shape, kernel_size, kernel_size, stride, 0)
         x._accumulate(grad_x)
 

@@ -25,6 +25,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..utils.jsonl import append_line
+
 __all__ = [
     "Span",
     "Tracer",
@@ -305,23 +307,19 @@ def write_spans(path: str, spans: List[Dict[str, Any]]) -> None:
     """Append span dicts to a JSONL file with one ``O_APPEND`` write.
 
     A single ``write`` of pre-joined lines keeps concurrent writers (daemon
-    plus CLI) from tearing each other's lines, mirroring the store's
-    append discipline.
+    plus CLI) from tearing each other's lines, and a torn tail left by a
+    killed writer is terminated first, so the batch never glues onto it
+    (:func:`repro.utils.jsonl.append_line`, the store's append discipline).
     """
     if not spans:
         return
     directory = os.path.dirname(os.path.abspath(path))
     if directory:
         os.makedirs(directory, exist_ok=True)
-    payload = "".join(
+    append_line(path, "".join(
         json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
         for entry in spans
-    ).encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        os.write(fd, payload)
-    finally:
-        os.close(fd)
+    ).encode("utf-8"))
 
 
 def read_spans(path: str, trace_id: Optional[str] = None

@@ -46,13 +46,14 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Dict, List, Optional
 from uuid import uuid4
 
+from ..utils.jsonl import append_line
 from ..utils.logging import get_logger
 from .backends import ExecutionBackend
 from .planning import JobTimeoutError, ServiceMetrics
 from .records import ScanRequest, record_from_dict
 from .repair import ResolvedRepair, execute_repair, resolve_repair
 from .scheduler import ResolvedScan, execute_resolved
-from .store import _append_line, sidecar_path
+from .store import sidecar_path
 from .locks import FileLock
 
 __all__ = ["FleetQueue", "FleetBackend", "FleetWorker", "run_worker",
@@ -335,8 +336,8 @@ class FleetQueue:
         """Append one event line (the caller must hold the fleet lock)."""
         event = dict(event)
         event["ts"] = self.clock()
-        _append_line(path, (json.dumps(event, sort_keys=True) + "\n"
-                            ).encode("utf-8"))
+        append_line(path, (json.dumps(event, sort_keys=True) + "\n"
+                           ).encode("utf-8"))
 
     def _refresh(self) -> None:
         """Replay events appended since the last refresh (lock held)."""

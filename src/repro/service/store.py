@@ -8,7 +8,7 @@ processes (schedulers, CLI invocations, the watch daemon) share one store;
 readers pick up other writers' appends lazily, re-replaying a shard only
 when its (mtime, size) signature changed.  Replay skips unreadable lines (a
 writer killed mid-append) with a warning, and the next append terminates
-such a fragment first (:func:`_append_line`).
+such a fragment first (:func:`repro.utils.jsonl.append_line`).
 
 Sidecars (stats, spans, metrics, the ``fleet/`` queue) live inside the
 store directory (:func:`sidecar_path`).  A legacy single-file ``.jsonl``
@@ -22,6 +22,7 @@ import json
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from ..utils.jsonl import append_line
 from ..utils.logging import get_logger
 from .locks import FileLock, atomic_write
 from .records import RepairRecord, ScanRecord, record_from_dict
@@ -105,29 +106,6 @@ def _encode(record: StoreRecord) -> bytes:
     payload = record.to_dict()
     payload.pop("spans", None)
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _append_line(path: str, data: bytes) -> None:
-    """Append the newline-terminated ``data`` to ``path`` (lock held).
-
-    One ``O_APPEND`` write, so appenders never interleave within a line.  A
-    writer killed mid-``write`` (or a full disk) can leave a final fragment
-    without its newline: when the last byte is not ``\\n``, one is written
-    first, so replay skips the fragment instead of gluing ``data`` onto it.
-    A short write raises :class:`OSError`, so the caller never indexes a
-    line that is not fully on disk (the next append terminates it).
-    """
-    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-    try:
-        size = os.fstat(fd).st_size
-        if size and os.pread(fd, 1, size - 1) != b"\n":
-            data = b"\n" + data
-        written = os.write(fd, data)
-        if written != len(data):
-            raise OSError(f"{path}: short append ({written} of {len(data)} "
-                          "bytes written)")
-    finally:
-        os.close(fd)
 
 
 class ShardedResultStore:
@@ -295,7 +273,7 @@ class ShardedResultStore:
         path = self._shard_path(name)
         os.makedirs(self.path, exist_ok=True)
         with self._shard_lock(name):
-            _append_line(path, _encode(record))
+            append_line(path, _encode(record))
         self._index[record.key] = record
 
     def add_all(self, records: Iterable[StoreRecord]) -> None:

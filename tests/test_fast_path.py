@@ -194,6 +194,68 @@ class TestConvFastPaths:
         np.testing.assert_allclose(wt.grad, self._numeric_grad(loss_w, w),
                                    rtol=1e-2, atol=1e-2)
 
+    @staticmethod
+    def _channel_last_conv_grads(x, w, grad, stride, padding):
+        """Reference expanding-conv backward: channel-last GEMM + 6-D scatter.
+
+        The formula the tap-major ``col2im`` replaced, kept inline so the
+        kernel stays pinned bit for bit against it.
+        """
+        batch, channels, height, width = x.shape
+        out_channels, _, kh, kw = w.shape
+        cols, oh, ow = F.im2col(x, kh, kw, stride, padding)
+        patch = channels * kh * kw
+        grad_out = grad.transpose(0, 2, 3, 1).reshape(-1, out_channels)
+        grad_w = (grad_out.T @ cols.reshape(-1, patch)).reshape(w.shape)
+        grad_cols = (grad_out @ w.reshape(out_channels, -1)).reshape(
+            batch, oh, ow, channels, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+        padded = np.zeros((batch, channels, height + 2 * padding,
+                           width + 2 * padding), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                padded[:, :, i:i + stride * oh:stride,
+                       j:j + stride * ow:stride] += grad_cols[:, :, :, :, i, j]
+        grad_x = padded[:, :, padding:padding + height,
+                        padding:padding + width]
+        return grad_x, grad_w
+
+    @pytest.mark.parametrize("channels,out_channels,kernel,stride,padding,size", [
+        (1, 16, 5, 1, 2, 12),
+        (16, 32, 5, 1, 2, 8),
+        (3, 8, 3, 2, 1, 9),
+        (4, 4, 3, 1, 0, 7),
+    ])
+    def test_expanding_conv_grads_bit_exact(self, channels, out_channels,
+                                            kernel, stride, padding, size):
+        rng = np.random.default_rng(channels * 100 + out_channels)
+        x = rng.standard_normal((3, channels, size, size)).astype(np.float32)
+        w = rng.standard_normal(
+            (out_channels, channels, kernel, kernel)).astype(np.float32)
+        xt = Tensor(x.copy(), requires_grad=True)
+        wt = Tensor(w.copy(), requires_grad=True)
+        out = F.conv2d(xt, wt, stride=stride, padding=padding)
+        grad = rng.standard_normal(out.data.shape).astype(np.float32)
+        out.backward(grad)
+        ref_x, ref_w = self._channel_last_conv_grads(x, w, grad, stride,
+                                                     padding)
+        assert np.array_equal(xt.grad, ref_x)
+        assert np.array_equal(wt.grad, ref_w)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(5, 1, 2), (3, 2, 1)])
+    def test_col2im_is_adjoint_of_im2col(self, kernel, stride, padding):
+        # <im2col(x), c> == <x, col2im(c)>, with c in col2im's tap-major
+        # layout and im2col's channel-last columns permuted to match.
+        rng = np.random.default_rng(kernel + stride)
+        x = rng.standard_normal((2, 3, 9, 9))
+        cols, oh, ow = F.im2col(x, kernel, kernel, stride, padding)
+        tap_major = cols.reshape(2, oh, ow, 3, kernel, kernel).transpose(
+            0, 4, 5, 3, 1, 2)
+        c = rng.standard_normal(tap_major.shape)
+        back = F.col2im(c, x.shape, kernel, kernel, stride, padding)
+        assert back.shape == x.shape
+        np.testing.assert_allclose(np.vdot(tap_major, c), np.vdot(x, back),
+                                   rtol=1e-10)
+
     def test_frozen_weight_conv_still_gives_input_grad(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.standard_normal((1, 2, 6, 6)).astype(np.float32),

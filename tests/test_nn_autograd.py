@@ -161,6 +161,31 @@ class TestConvPoolNumericGrad:
         num = numeric_grad(forward_np, w.copy(), eps=1e-2)
         np.testing.assert_allclose(wt.grad, num, rtol=0.05, atol=0.05)
 
+    @pytest.mark.parametrize("pool,kernel,stride,size", [
+        ("max_pool2d", 3, 2, 9),   # overlapping windows
+        ("avg_pool2d", 3, 2, 9),   # overlapping windows
+        ("avg_pool2d", 2, None, 7),  # non-divisible dims: not the tiled path
+    ])
+    def test_pool_grad_through_col2im(self, rng, pool, kernel, stride, size):
+        # Distinct values 0.1 apart keep every max-pool argmax fixed under
+        # the finite-difference step; a random upstream gradient makes the
+        # check sensitive to which tap each window's share lands on.
+        x = rng.permutation(2 * 3 * size * size).reshape(
+            2, 3, size, size).astype(np.float64) * 0.1
+        pool_fn = getattr(F, pool)
+        out_size = (size - kernel) // (stride or kernel) + 1
+        upstream = rng.standard_normal((2, 3, out_size, out_size))
+
+        def forward_np(x_arr):
+            out = pool_fn(Tensor(x_arr.astype(np.float32)), kernel, stride)
+            return float((out.data * upstream).sum())
+
+        xt = Tensor(x.astype(np.float32), requires_grad=True)
+        out = pool_fn(xt, kernel, stride)
+        (out * Tensor(upstream.astype(np.float32))).sum().backward()
+        num = numeric_grad(forward_np, x.copy(), eps=1e-2)
+        np.testing.assert_allclose(xt.grad, num, rtol=0.05, atol=0.05)
+
     def test_grouped_conv_matches_manual(self, rng):
         x = rng.standard_normal((1, 4, 5, 5)).astype(np.float32)
         w = rng.standard_normal((4, 1, 3, 3)).astype(np.float32)

@@ -134,6 +134,22 @@ class TestTracer:
         assert read_spans(path, trace_id="b") == second
         assert read_spans(str(tmp_path / "missing.jsonl")) == []
 
+    def test_append_after_torn_tail_keeps_every_new_span(self, tmp_path):
+        # A writer killed mid-append leaves a fragment with no newline; the
+        # next batch must not glue its first span onto it.
+        path = str(tmp_path / "spans.jsonl")
+
+        def one(span_id):
+            return [{"trace_id": "t", "span_id": span_id, "parent_id": "",
+                     "name": "s", "start": 1.0, "duration": 0.1, "pid": 1}]
+
+        write_spans(path, one("1"))
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"trace_id": "t", "span_')
+        write_spans(path, one("2") + one("3"))
+        assert [entry["span_id"] for entry in read_spans(path)] == [
+            "1", "2", "3"]
+
     def test_flush_appends_and_empties(self, tmp_path):
         path = str(tmp_path / "spans.jsonl")
         TRACER.enable()
