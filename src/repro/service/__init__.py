@@ -53,7 +53,7 @@ from .backends import (
     PoolBackend,
     create_backend,
 )
-from .daemon import ChildBackend, CheckpointWatcher, DaemonConfig, WatchDaemon
+from .daemon import CheckpointWatcher, DaemonConfig, WatchDaemon
 from .fleet import (
     FleetBackend,
     FleetQueue,
@@ -105,7 +105,6 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "PoolBackend",
-    "ChildBackend",
     "FleetBackend",
     "FleetQueue",
     "FleetWorker",

@@ -5,11 +5,10 @@ an :class:`ExecutionBackend` decides *where*.  Three implementations ship:
 
 * :class:`InlineBackend` — serial, in-process: jobs run in queue order in
   the caller, bit-identical to the pool path minus the process hop (the
-  test suite's default, and the fallback for single-job batches);
-* :class:`PoolBackend` — a ``ProcessPoolExecutor`` per batch with per-job
-  wall-clock timeouts, bounded retries, and stuck-worker exclusion (a
-  timed-out running task cannot be preempted, so its worker is excluded
-  from further dispatch rather than queued behind);
+  test suite's default);
+* :class:`PoolBackend` — one killable child process per job, at most
+  ``workers`` at a time: a job past its wall-clock timeout is killed, and
+  a killed, hung or failing job is retried within the budget;
 * :class:`~repro.service.fleet.FleetBackend` — independent worker
   processes pulling from a store-adjacent shared queue with lease-based
   ownership (imported lazily via :func:`create_backend` so the scheduler
@@ -25,9 +24,13 @@ which one the operator selected (``--backend inline|pool|fleet``).
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import traceback
+from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..utils.logging import get_logger
 from .planning import JobQueue, JobTimeoutError, QueuedJob, ServiceMetrics
@@ -82,6 +85,31 @@ class ExecutionBackend:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+def _requeue_or_fail(queue: JobQueue, job: QueuedJob, error: BaseException,
+                     retries: int, metrics: ServiceMetrics) -> bool:
+    """Requeue a failed ``job`` while its retry budget lasts.
+
+    Returns True when the job went back on ``queue`` (behind its peers);
+    otherwise counts the failure and returns False, and the caller raises
+    ``error``, failing the batch.
+    """
+    if job.attempts < retries:
+        _LOG.warning("Retrying job %d after %s", job.payload[0], error)
+        metrics.retries += 1
+        queue.requeue(job)
+        return True
+    metrics.failures += 1
+    return False
+
+
+def _job_queue(items: Sequence[Any]) -> JobQueue:
+    """A FIFO queue of ``(index, payload)`` jobs, one per item."""
+    queue = JobQueue()
+    for index, payload in enumerate(items):
+        queue.push((index, payload))
+    return queue
+
+
 def _run_serial(fn: Callable[[Any], Any], queue: JobQueue,
                 results: List[Any], retries: int,
                 metrics: ServiceMetrics) -> None:
@@ -91,20 +119,17 @@ def _run_serial(fn: Callable[[Any], Any], queue: JobQueue,
         index, payload = job.payload
         try:
             results[index] = fn(payload)
-        except Exception:
-            if job.attempts < retries:
-                metrics.retries += 1
-                queue.requeue(job)
+        except Exception as error:
+            if _requeue_or_fail(queue, job, error, retries, metrics):
                 continue
-            metrics.failures += 1
             raise
 
 
 class InlineBackend(ExecutionBackend):
-    """Serial in-process execution: the deterministic fallback path.
+    """Serial in-process execution: the deterministic reference path.
 
     Jobs run in queue order inside the calling process — bit-identical to
-    the pool path (pool workers fork with the same seeds), just without the
+    the pool path (pool children fork with the same seeds), just without the
     process hop, which also means a per-job ``timeout`` cannot be enforced.
     """
 
@@ -116,28 +141,100 @@ class InlineBackend(ExecutionBackend):
         """Run every payload inline, in queue order (see the base contract)."""
         items = list(payloads)
         metrics = metrics if metrics is not None else ServiceMetrics()
-        queue = JobQueue()
-        for index, payload in enumerate(items):
-            queue.push((index, payload))
         results: List[Any] = [None] * len(items)
-        _run_serial(fn, queue, results, int(retries), metrics)
+        _run_serial(fn, _job_queue(items), results, int(retries), metrics)
         return results
 
 
+class _RemoteTraceback(Exception):
+    """A child's formatted traceback, chained as its re-raised error's cause."""
+
+
+def _portable(error: BaseException) -> Exception:
+    """``error`` itself when it survives a pickle round trip, else a stand-in.
+
+    Non-``Exception`` errors (``SystemExit``, ``KeyboardInterrupt`` raised in
+    a job) also become a :class:`RuntimeError`, so a job can never stop the
+    process that re-raises it.
+    """
+    if isinstance(error, Exception):
+        try:
+            pickle.loads(pickle.dumps(error))
+            return error
+        except (pickle.PickleError, AttributeError, TypeError):
+            pass  # unpicklable attributes or a custom __init__ signature
+    return RuntimeError(f"{type(error).__name__}: {error}")
+
+
+def _child_entry(conn: Connection, fn: Callable[[Any], Any],
+                 payload: Any) -> None:
+    """Child-process entry: run one job and send its outcome to the parent.
+
+    Sends ``("ok", result)``, or ``("error", exception, traceback_text)``
+    when ``fn`` raises or its result does not pickle.
+    """
+    try:
+        conn.send(("ok", fn(payload)))
+    # Process boundary: every failure (incl. KeyboardInterrupt/SystemExit) is
+    # forwarded over the pipe for the parent to retry or raise — nothing is
+    # swallowed.
+    except BaseException as error:  # repro-lint: disable=exception-hygiene
+        conn.send(("error", _portable(error), traceback.format_exc()))
+    finally:
+        conn.close()
+
+
+@dataclass
+class _Child:
+    """One running pool job: its queue entry, process, and result pipe."""
+
+    job: QueuedJob
+    process: multiprocessing.Process
+    conn: Connection
+    started: float
+
+    def outcome(self) -> Tuple[bool, Any]:
+        """``(True, result)`` or ``(False, error)`` once the child is done."""
+        try:
+            reply = self.conn.recv() if self.conn.poll() else None
+        except EOFError:
+            reply = None
+        if reply is None:
+            return False, RuntimeError(
+                f"job {self.job.payload[0]} died without reporting a result "
+                f"(exit code {self.process.exitcode}).")
+        if reply[0] == "ok":
+            return True, reply[1]
+        error = reply[1]
+        error.__cause__ = _RemoteTraceback(reply[2])
+        return False, error
+
+    def reap(self, kill: bool = False) -> None:
+        """Close the pipe and wait for the process (SIGKILL it first if asked)."""
+        if kill:
+            self.process.kill()
+        self.conn.close()
+        self.process.join()
+
+
 class PoolBackend(ExecutionBackend):
-    """Process-pool execution with timeouts, retries, and stuck exclusion.
+    """Out-of-process execution: each job runs in its own killable child.
 
     Args:
-        workers: Pool size ceiling; a batch never spawns more workers than
-            it has jobs.  Batches of one job (or ``workers <= 1``) fall
-            back to inline execution — the process hop buys nothing there.
+        workers: Concurrency ceiling; a batch runs at most
+            ``max(1, min(workers, len(payloads)))`` children at once.
 
-    A fresh ``ProcessPoolExecutor`` is created per batch, so :meth:`close`
-    has nothing persistent to release.  A job that exceeds ``timeout`` is
-    marked failed/retryable, but a *running* task cannot be preempted: its
-    worker is counted stuck, excluded from further dispatch, and only
-    reclaimed at pool shutdown (the watch daemon uses killable child
-    processes instead; see :class:`repro.service.daemon.ChildBackend`).
+    Every job forks a fresh :class:`multiprocessing.Process` and sends its
+    result back over a :func:`multiprocessing.Pipe`, so ``fn``, its
+    payloads and its results must pickle.  A job past ``timeout`` is killed
+    (SIGKILL) and fails with :class:`JobTimeoutError`; a child that dies
+    without answering fails with a :class:`RuntimeError` carrying its exit
+    code; a job's own exception is re-raised with its type (when it
+    pickles) and the child's traceback chained as its cause.  Each failure
+    is retried within the budget, so one hung or killed job never holds a
+    worker or breaks the batch.  Nothing outlives a batch: when one raises,
+    its running children are killed and reaped first, so :meth:`close` has
+    nothing to release.
     """
 
     def __init__(self, workers: int) -> None:
@@ -147,83 +244,58 @@ class PoolBackend(ExecutionBackend):
     def run(self, fn: Callable[[Any], Any], payloads: Sequence[Any],
             timeout: Optional[float] = None, retries: int = 0,
             metrics: Optional[ServiceMetrics] = None) -> List[Any]:
-        """Run the batch across a fresh process pool (see the base contract)."""
+        """Run the batch in killable child processes (see the base contract)."""
         items = list(payloads)
         retries = int(retries)
         metrics = metrics if metrics is not None else ServiceMetrics()
-        queue = JobQueue()
-        for index, payload in enumerate(items):
-            queue.push((index, payload))
+        queue = _job_queue(items)
         results: List[Any] = [None] * len(items)
-        if self.workers <= 1 or len(items) <= 1:
-            _run_serial(fn, queue, results, retries, metrics)
-            return results
-
-        max_workers = min(self.workers, len(items))
-        pool = ProcessPoolExecutor(max_workers=max_workers)
-        running: Dict[Any, Tuple[QueuedJob, float]] = {}
-        #: Workers presumed wedged on a timed-out task (a pool cannot preempt
-        #: a running job).  They shrink the dispatch capacity so queued jobs
-        #: are never submitted behind a stuck worker — where their timeout
-        #: clock would run without the job ever starting.
-        stuck = 0
+        capacity = max(1, min(self.workers, len(items)))
+        running: List[_Child] = []
         try:
-
-            def _dispatch() -> None:
-                while queue and len(running) < max_workers - stuck:
-                    job = queue.pop()
-                    future = pool.submit(fn, job.payload[1])
-                    running[future] = (job, time.monotonic())
-
-            _dispatch()
-            while running:
-                expiries = [started + timeout for _, started in running.values()
-                            ] if timeout is not None else []
-                wait_budget = (max(0.0, min(expiries) - time.monotonic())
-                               if expiries else None)
-                done, _ = wait(set(running), timeout=wait_budget,
-                               return_when=FIRST_COMPLETED)
+            while queue or running:
+                while queue and len(running) < capacity:
+                    running.append(self._start(fn, queue.pop()))
+                budget = None
+                if timeout is not None:
+                    budget = max(0.0, min(child.started for child in running)
+                                 + timeout - time.monotonic())
+                ready = set(wait([handle for child in running for handle in
+                                  (child.conn, child.process.sentinel)],
+                                 timeout=budget))
                 now = time.monotonic()
-                expired = [future for future, (_, started) in running.items()
-                           if timeout is not None and future not in done
-                           and now - started >= timeout]
-                for future in list(done) + expired:
-                    job, _started = running.pop(future)
-                    error: Optional[BaseException] = None
-                    if future in done:
-                        error = future.exception()
-                        if error is None:
-                            results[job.payload[0]] = future.result()
-                            continue
+                for child in list(running):
+                    if child.conn in ready or child.process.sentinel in ready:
+                        ok, value = child.outcome()
+                    elif timeout is not None and now - child.started >= timeout:
+                        ok, value = False, JobTimeoutError(
+                            f"job {child.job.payload[0]} exceeded "
+                            f"{timeout:.1f}s (attempt {child.job.attempts + 1})"
+                            " and was killed.")
                     else:
-                        if not future.cancel():
-                            # Already running: that worker is occupied until
-                            # the abandoned task finishes, if it ever does.
-                            stuck += 1
-                        error = JobTimeoutError(
-                            f"job {job.payload[0]} exceeded {timeout:.1f}s "
-                            f"(attempt {job.attempts + 1}).")
-                    if job.attempts < retries:
-                        _LOG.warning("Retrying job %d after %s", job.payload[0],
-                                     error)
-                        metrics.retries += 1
-                        queue.requeue(job)
-                    else:
-                        metrics.failures += 1
-                        raise error
-                _dispatch()
-            if queue:
-                # Every worker is wedged on an abandoned task; the queued
-                # remainder can never start.
-                metrics.failures += 1
-                raise JobTimeoutError(
-                    f"{len(queue)} queued job(s) starved: all {max_workers} "
-                    "worker(s) are stuck on timed-out jobs.")
+                        continue
+                    running.remove(child)
+                    child.reap(kill=not ok)
+                    if ok:
+                        results[child.job.payload[0]] = value
+                    elif not _requeue_or_fail(queue, child.job, value,
+                                              retries, metrics):
+                        raise value
         finally:
-            # With wedged workers a wait=True shutdown would block forever;
-            # abandon the pool instead (its processes die with the parent).
-            pool.shutdown(wait=stuck == 0, cancel_futures=stuck > 0)
+            for child in running:
+                child.reap(kill=True)
         return results
+
+    @staticmethod
+    def _start(fn: Callable[[Any], Any], job: QueuedJob) -> _Child:
+        """Fork the child that runs ``job`` and return its handle."""
+        receiver, sender = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(target=_child_entry,
+                                          args=(sender, fn, job.payload[1]))
+        process.start()
+        # Only the child holds the sending end, so its death reads as EOF.
+        sender.close()
+        return _Child(job, process, receiver, time.monotonic())
 
 
 def create_backend(spec: str, workers: int = 0,

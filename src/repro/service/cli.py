@@ -279,11 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Disable trace spans, per-phase profiling, and "
                             "the metrics.prom export.")
     watch.add_argument("--backend", default=None,
-                       choices=["child"] + list(BACKEND_NAMES),
-                       help="Job execution backend: child (killable child "
+                       choices=list(BACKEND_NAMES),
+                       help="Job execution backend: pool (one killable child "
                             "process per scan, the default), fleet (hand "
                             "jobs to 'python -m repro worker' processes), "
-                            "or inline/pool.")
+                            "or inline.")
     _add_scan_options(watch)
     watch.add_argument("--store", default=DEFAULT_STORE,
                        help="Result store; use a directory for the sharded "

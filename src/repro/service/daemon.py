@@ -5,16 +5,17 @@ proper: the daemon polls a drop directory for new or changed ``.npz``
 checkpoints, enqueues one scan per (checkpoint, detector) on the shared
 prioritized :class:`~repro.service.scheduler.JobQueue`, and drains the queue
 with per-job wall-clock timeouts and bounded retries.  Verdicts land in the
-(usually sharded) result store — so any number of daemons and ad-hoc
-``python -m repro scan`` invocations can share one store — and a JSON stats
-endpoint file (scans served, cache-hit ratio, p50/p95 scan latency, failure
-and retry counts) is rewritten atomically after every loop iteration for
-``python -m repro report`` and external monitors to consume.
+result store — so any number of daemons and ad-hoc ``python -m repro scan``
+invocations can share one store — and a JSON stats endpoint file (scans
+served, cache-hit ratio, p50/p95 scan latency, failure and retry counts) is
+rewritten atomically after every loop iteration for ``python -m repro
+report`` and external monitors to consume.
 
-Unlike the pool path of :meth:`ScanScheduler.run_jobs`, the daemon executes
-each scan in a dedicated child process it can *kill*: a hung scan is
-terminated at its deadline, counted, and retried up to the configured budget,
-and the loop keeps serving the rest of the queue.
+Each job runs through :meth:`ScanScheduler.run_jobs` on a one-worker
+``pool`` backend by default, i.e. in a child process the daemon can *kill*:
+a hung scan is killed at its deadline, counted, and retried at once up to
+the configured budget (:class:`~repro.service.backends.PoolBackend`), and
+the loop keeps serving the rest of the queue.
 
 A checkpoint is only enqueued once its (mtime, size) signature has stayed
 stable for ``settle_polls`` consecutive polls, so half-copied files are never
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import fnmatch
 import json
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, replace as dataclass_replace
@@ -36,14 +36,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..obs.metrics import build_service_registry
 from ..obs.trace import TRACER, new_trace_id
 from ..utils.logging import get_logger
-from .backends import ExecutionBackend, create_backend
 from .locks import atomic_write
-from .planning import ServiceMetrics
-from .records import RepairRecord, ScanRecord, ScanRequest, record_from_dict
+from .records import RepairRecord, ScanRecord, ScanRequest
 from .repair import RepairRequest, execute_repair, resolve_repair
 from .scheduler import (
     JobQueue,
-    JobTimeoutError,
     QueuedJob,
     ScanScheduler,
     execute_resolved,
@@ -52,8 +49,8 @@ from .scheduler import (
 from .store import (METRICS_NAME, SPANS_NAME, STATS_NAME, ShardedResultStore,
                     sidecar_path)
 
-__all__ = ["CheckpointWatcher", "ChildBackend", "DaemonConfig", "WatchDaemon",
-           "ScanJob", "RepairJob", "run_scan_in_child"]
+__all__ = ["CheckpointWatcher", "DaemonConfig", "WatchDaemon", "ScanJob",
+           "RepairJob"]
 
 _LOG = get_logger("repro.service.daemon")
 
@@ -191,11 +188,12 @@ class DaemonConfig:
         telemetry: Record trace spans (``spans.jsonl`` beside the store) and
             export ``metrics.prom`` each cycle.  ``None`` follows the
             ``REPRO_TELEMETRY`` environment switch.
-        backend: Execution backend for queued jobs: ``None``/``"child"``
-            keeps the daemon's killable child processes (the historical
-            behavior), ``"fleet"`` hands jobs to the store-adjacent worker
-            fleet (see :mod:`repro.service.fleet`), and ``"inline"`` runs
-            them in the daemon process (tests; timeouts unenforceable).
+        backend: Execution backend for queued jobs (one of
+            :data:`~repro.service.backends.BACKEND_NAMES`): ``None``/
+            ``"pool"`` runs each job in a killable child process, one at a
+            time; ``"fleet"`` hands jobs to the store-adjacent worker fleet
+            (see :mod:`repro.service.fleet`), and ``"inline"`` runs them in
+            the daemon process (tests; timeouts unenforceable).
     """
 
     watch_dir: str
@@ -216,90 +214,14 @@ class DaemonConfig:
     backend: Optional[str] = None
 
 
-def _child_entry(conn, scan_fn, resolved) -> None:
-    """Child-process entry: run one scan, ship the record (or error) back."""
-    try:
-        record = scan_fn(resolved)
-        conn.send(("ok", record.to_dict()))
-    # Process boundary: every failure (incl. KeyboardInterrupt/SystemExit)
-    # is serialized onto the pipe so the parent can log/retry it — nothing
-    # is swallowed, it is forwarded.
-    except BaseException as error:  # repro-lint: disable=exception-hygiene
-        conn.send(("error", f"{type(error).__name__}: {error}"))
-    finally:
-        conn.close()
-
-
-def run_scan_in_child(scan_fn: Callable[..., ScanRecord], resolved,
-                      timeout: Optional[float]) -> ScanRecord:
-    """Execute ``scan_fn(resolved)`` in a killable child process.
-
-    Args:
-        scan_fn: Module-level scan callable (pickled to the child).
-        resolved: Its single argument (a ``ResolvedScan`` in production).
-        timeout: Seconds before the child is terminated; ``None`` waits
-            forever.
-
-    Returns:
-        The child's :class:`~repro.service.records.ScanRecord`.
-
-    Raises:
-        JobTimeoutError: the deadline passed (the child is killed first).
-        RuntimeError: the child reported an error or died without answering.
-    """
-    parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-    process = multiprocessing.Process(target=_child_entry,
-                                      args=(child_conn, scan_fn, resolved))
-    process.start()
-    child_conn.close()
-    try:
-        if not parent_conn.poll(timeout):
-            process.terminate()
-            process.join()
-            raise JobTimeoutError(
-                f"scan exceeded {timeout:.1f}s and was killed.")
-        try:
-            status, payload = parent_conn.recv()
-        except EOFError:
-            raise RuntimeError("scan worker died without reporting a result "
-                               f"(exit code {process.exitcode}).") from None
-        if status != "ok":
-            raise RuntimeError(f"scan worker failed: {payload}")
-        return record_from_dict(payload)
-    finally:
-        parent_conn.close()
-        process.join()
-
-
-class ChildBackend(ExecutionBackend):
-    """Killable-child execution: one dedicated process per job.
-
-    The daemon's historical execution model, packaged behind the
-    :class:`~repro.service.backends.ExecutionBackend` contract: each payload
-    runs in a child process that is *terminated* at its deadline, so a hung
-    detector cannot wedge the loop the way it wedges a pool worker.  The
-    ``retries`` budget is ignored — the daemon retries through its own
-    prioritized queue so a flaky job goes to the back rather than blocking
-    the batch.
-    """
-
-    name = "child"
-
-    def run(self, fn: Callable[..., Any], payloads: Sequence[Any],
-            timeout: Optional[float] = None, retries: int = 0,
-            metrics: Optional[ServiceMetrics] = None) -> List[Any]:
-        """Run each payload in its own killable child (see the base contract)."""
-        return [run_scan_in_child(fn, payload, timeout)
-                for payload in payloads]
-
-
 class WatchDaemon:
     """The ``python -m repro watch`` loop: poll, enqueue, scan, publish stats.
 
     Args:
         config: See :class:`DaemonConfig`.
         scheduler: Optional pre-built scheduler (the daemon builds one around
-            ``config.store_path`` when omitted); its
+            ``config.store_path`` and ``config.backend`` when omitted); jobs
+            run through its backend, and its
             :class:`~repro.service.scheduler.ServiceMetrics` is what the
             stats endpoint publishes.
     """
@@ -309,14 +231,12 @@ class WatchDaemon:
         self.config = config
         if scheduler is None:
             store = ShardedResultStore(config.store_path)
-            scheduler = ScanScheduler(store=store,
+            scheduler = ScanScheduler(store=store, workers=1,
                                       job_timeout=config.job_timeout,
                                       job_retries=config.max_retries,
-                                      telemetry=config.telemetry)
+                                      telemetry=config.telemetry,
+                                      backend=config.backend or "pool")
         self.scheduler = scheduler
-        self.backend = (ChildBackend() if config.backend in (None, "child")
-                        else create_backend(config.backend,
-                                            store_path=config.store_path))
         self.telemetry = self.scheduler.telemetry
         self.spans_path = sidecar_path(config.store_path, SPANS_NAME)
         self.metrics_path = sidecar_path(config.store_path, METRICS_NAME)
@@ -370,7 +290,10 @@ class WatchDaemon:
                   job.detector)
 
     def _process(self, queued: QueuedJob) -> None:
-        """Run one queued job: cache-check, execute in a child, retry on failure.
+        """Run one queued job: cache-check, then execute through the scheduler.
+
+        The scheduler's backend owns the job's timeout and retries; a job
+        that exhausts them is logged and counted, and the loop moves on.
 
         Scan jobs that come back BACKDOORED enqueue an auto-repair job
         (when ``auto_repair`` is on) behind the remaining scans.
@@ -418,23 +341,15 @@ class WatchDaemon:
             worker_fn = (self.config.repair_fn if is_repair
                          else self.config.scan_fn)
             try:
-                record = self.backend.run(worker_fn, [resolved],
-                                          timeout=self.config.job_timeout)[0]
-            # Child jobs can die in arbitrary ways (timeout, OOM kill, any
-            # detector error); the daemon's liveness contract is to log,
-            # retry within budget, and keep watching.
+                record = self.scheduler.run_jobs(worker_fn, [resolved])[0]
+            # Jobs can die in arbitrary ways (timeout, OOM kill, any detector
+            # error); the backend has already retried and counted the
+            # failure, and the daemon's liveness contract is to log and keep
+            # watching.
             except Exception as error:  # repro-lint: disable=exception-hygiene
-                if queued.attempts < self.config.max_retries:
-                    metrics.retries += 1
-                    _LOG.warning("%s [%s]: %s — retrying (%d/%d)",
-                                 job.checkpoint, job.detector, error,
-                                 queued.attempts + 1, self.config.max_retries)
-                    self.queue.requeue(queued)
-                else:
-                    metrics.failures += 1
-                    _LOG.error("%s [%s]: giving up after %d attempt(s): %s",
-                               job.checkpoint, job.detector,
-                               queued.attempts + 1, error)
+                _LOG.error("%s [%s]: giving up after %d attempt(s): %s",
+                           job.checkpoint, job.detector,
+                           self.scheduler.job_retries + 1, error)
                 return
             child_spans = record.pop_spans()
             if self.telemetry:
@@ -521,7 +436,7 @@ class WatchDaemon:
         # readers of the endpoint file).
         payload["metrics"] = snapshot
         payload.update({
-            "backend": self.backend.name,
+            "backend": self.scheduler.backend.name,
             "queue_depth": len(self.queue),
             "checkpoints_seen": self.checkpoints_seen,
             "repairs_completed": self.repairs_completed,

@@ -8,10 +8,10 @@ The :class:`ScanScheduler` takes batches of
    state dict fingerprinted, and the detector config digested into the cache
    key — so cache hits never reach a worker;
 2. duplicate keys inside one batch collapse to a single computation;
-3. the remaining misses run through a ``ProcessPoolExecutor`` (or inline
-   when ``workers <= 1``, the serial fallback the test suite uses), each
-   worker loading the checkpoint from disk and running the detector's
-   batched ``detect()`` path;
+3. the remaining misses run through the execution backend — one child
+   process per job on the pool (or inline when ``workers <= 1``, the serial
+   path the test suite uses) — each job loading the checkpoint from disk
+   and running the detector's batched ``detect()`` path;
 4. fresh records are appended to the attached result store, making the next
    identical request a hit.
 
@@ -69,7 +69,7 @@ from ..obs.metrics import PROFILER
 from ..obs.trace import (TRACER, new_trace_id, span as _span,
                          telemetry_enabled, write_spans)
 from ..utils.logging import get_logger
-from .backends import ExecutionBackend, InlineBackend, PoolBackend, create_backend
+from .backends import ExecutionBackend, create_backend
 from .fingerprint import digest_config, fingerprint_state_dict, scan_key
 from .planning import (CachePlanner, JobQueue, JobTimeoutError, LATENCY_WINDOW,
                        QueuedJob, ServiceMetrics)
@@ -468,11 +468,11 @@ class ScanScheduler:
     Args:
         store: Optional :class:`~repro.service.ShardedResultStore`;
             without one every request is computed fresh.
-        workers: Pool size for the default (``pool``) backend.
-            ``workers <= 1`` is the serial fallback: jobs run inline in the
-            parent, in queue order — bit-identical to the pool path
-            (workers are forked with the same seeds), just without the
-            process hop.
+        workers: Concurrency ceiling for the ``pool`` backend.  With the
+            default ``backend=None``, ``workers <= 1`` selects the serial
+            ``inline`` backend: jobs run in the parent, in queue order —
+            bit-identical to the pool path (children fork with the same
+            seeds), just without the process hop.
         job_timeout: Default per-job wall-clock budget (seconds) for
             :meth:`run_jobs` on the pool path; ``None`` disables it.
         job_retries: Default retry budget per job — a failed (or timed-out)
@@ -487,11 +487,11 @@ class ScanScheduler:
         backend: Where planned jobs execute — an
             :class:`~repro.service.backends.ExecutionBackend` instance or a
             spec string (``inline`` / ``pool`` / ``fleet``).  ``None`` (the
-            default) keeps the historical behavior: a process pool sized by
-            ``workers``, falling back to inline execution for small
-            batches.  ``fleet`` requires a store (its queue lives next to
-            it) and verdicts stay identical across backends — only the
-            processes doing the work change.
+            default) picks ``pool`` — one killable child process per job,
+            at most ``workers`` at a time — when ``workers > 1`` and
+            ``inline`` otherwise.  ``fleet`` requires a store (its queue
+            lives next to it) and verdicts stay identical across backends —
+            only the processes doing the work change.
     """
 
     def __init__(self, store: Optional[ShardedResultStore] = None,

@@ -1,13 +1,15 @@
 """Tests for the watch daemon: watcher, job queue, timeouts/retries, stats.
 
-The timeout tests use real child processes (the daemon's kill path is the
-feature under test); the end-to-end smoke runs a real tiny scan through
-``WatchDaemon`` and the ``python -m repro watch`` CLI.
+The timeout and fault-injection tests use real child processes (the pool's
+kill path is the feature under test); the end-to-end smoke runs a real tiny
+scan through ``WatchDaemon`` and the ``python -m repro watch`` CLI.
 """
 
 import functools
 import json
+import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.service import (
     DaemonConfig,
     JobQueue,
     JobTimeoutError,
+    PoolBackend,
     RepairRecord,
     ScanRecord,
     ScanScheduler,
@@ -29,7 +32,6 @@ from repro.service import (
     execute_resolved,
 )
 from repro.service.cli import main as cli_main
-from repro.service.daemon import run_scan_in_child
 from repro.service.scheduler import LATENCY_WINDOW
 
 
@@ -53,6 +55,42 @@ def _flaky_scan(marker_path, resolved):
             handle.write("attempted")
         raise RuntimeError("transient failure")
     return execute_resolved(resolved)
+
+
+def _missing_key(resolved):
+    """A scan that fails with a non-RuntimeError exception."""
+    raise KeyError("no-such-layer")
+
+
+class _TwoArgError(Exception):
+    """Pickles, but cannot be rebuilt from its args (custom signature)."""
+
+    def __init__(self, layer, reason):
+        super().__init__(f"{layer}: {reason}")
+
+
+def _two_arg_error(resolved):
+    raise _TwoArgError("conv1", "exploded")
+
+
+def _sigkill_once(payload):
+    """SIGKILLs its own process on the first attempt (marker unset)."""
+    marker, value = payload
+    if marker is not None and not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write("attempted")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * 2
+
+
+def _hang_once(payload):
+    """Hangs on the first attempt (marker unset), then returns its value."""
+    marker, value = payload
+    if marker is not None and not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write("attempted")
+        time.sleep(60)
+    return value
 
 
 def _sleep_seconds(seconds):
@@ -224,18 +262,56 @@ class TestCheckpointWatcher:
 
 
 # ---------------------------------------------------------------------- #
-# Child-process scans: hard timeout
+# Pool children: hard timeout and fault injection
 # ---------------------------------------------------------------------- #
-class TestRunScanInChild:
+class TestPoolChildren:
     def test_timeout_kills_the_child(self):
         start = time.monotonic()
         with pytest.raises(JobTimeoutError):
-            run_scan_in_child(_hang_scan, None, timeout=0.3)
+            PoolBackend(workers=1).run(_hang_scan, [None], timeout=0.3)
         assert time.monotonic() - start < 5.0  # killed, not waited out
 
     def test_child_error_is_reported(self):
         with pytest.raises(RuntimeError, match="boom"):
-            run_scan_in_child(_boom_scan, None, timeout=5.0)
+            PoolBackend(workers=1).run(_boom_scan, [None], timeout=5.0)
+
+    def test_child_error_keeps_its_type_and_remote_traceback(self):
+        with pytest.raises(KeyError, match="no-such-layer") as caught:
+            PoolBackend(workers=1).run(_missing_key, [None])
+        assert "_missing_key" in str(caught.value.__cause__)
+
+    def test_unrebuildable_child_error_becomes_runtime_error(self):
+        with pytest.raises(RuntimeError, match="_TwoArgError: conv1: exploded"):
+            PoolBackend(workers=1).run(_two_arg_error, [None])
+
+    def test_sigkilled_job_is_retried(self, tmp_path):
+        metrics = ServiceMetrics()
+        results = PoolBackend(workers=2).run(
+            _sigkill_once, [(str(tmp_path / "marker"), 1), (None, 2)],
+            retries=1, metrics=metrics)
+        assert results == [2, 4]
+        assert metrics.retries == 1 and metrics.failures == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hung_jobs_are_killed_and_retried_ahead_of_the_queue(
+            self, tmp_path, workers):
+        # Every worker starts on a job that hangs once; the quick job queued
+        # behind them still runs, and the hung jobs succeed on retry.
+        hung = [(str(tmp_path / f"marker{i}"), i) for i in range(workers)]
+        metrics = ServiceMetrics()
+        start = time.monotonic()
+        results = PoolBackend(workers=workers).run(
+            _hang_once, hung + [(None, 99)], timeout=0.5, retries=1,
+            metrics=metrics)
+        assert results == list(range(workers)) + [99]
+        assert metrics.retries == workers
+        assert time.monotonic() - start < 10.0
+
+    def test_timeout_leaves_no_children_behind(self):
+        with pytest.raises(JobTimeoutError):
+            PoolBackend(workers=2).run(_sleep_seconds, [30, 30, 0.01],
+                                       timeout=0.3)
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------- #

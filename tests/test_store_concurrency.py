@@ -9,6 +9,7 @@ against one shared store.
 import json
 import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -75,6 +76,13 @@ def _scan_proc(store_path, checkpoints, barrier):
     scheduler.scan([_tiny_request(path) for path in checkpoints])
 
 
+def _hold_lock_proc(lock_path, held):
+    """Take the lock, tell the parent, then hold it until killed."""
+    FileLock(lock_path).acquire()
+    held.set()
+    time.sleep(60)
+
+
 def _lock_proc(lock_path, counter_path, rounds, barrier):
     """Read-modify-write a counter file under the lock (non-atomic without it)."""
     barrier.wait()
@@ -122,6 +130,24 @@ class TestFileLock:
             holder.release()
         with FileLock(lock_path, timeout=1.0):
             pass  # released locks are re-acquirable
+
+    def test_killed_holder_releases_the_lock(self, tmp_path):
+        lock_path = str(tmp_path / "locks" / "shard.lock")
+        held = multiprocessing.Event()
+        holder = multiprocessing.Process(target=_hold_lock_proc,
+                                         args=(lock_path, held))
+        holder.start()
+        try:
+            assert held.wait(10.0)
+            with pytest.raises(LockTimeout):
+                FileLock(lock_path, timeout=0.1, poll_interval=0.02).acquire()
+        finally:
+            holder.kill()
+            holder.join()
+        assert holder.exitcode == -signal.SIGKILL
+        # The kernel dropped the dead holder's flock: no recovery step.
+        with FileLock(lock_path, timeout=2.0):
+            pass
 
     def test_atomic_write_replaces_content(self, tmp_path):
         path = str(tmp_path / "sub" / "stats.json")

@@ -7,6 +7,8 @@ timeout and retry budget, then asserts:
 
 1. a verdict landed in the sharded result store,
 2. the stats endpoint file exists with the documented metrics fields, and
+   names the default ``pool`` backend (the scan ran in a killable child,
+   not in the daemon process), and
 3. ``python -m repro report`` surfaces both the record and the metrics.
 
 Run by ``make daemon-smoke`` (and CI).  Exits non-zero on any failure.
@@ -81,6 +83,10 @@ def main() -> int:
             return 1
         if stats["scans_served"] != 1 or stats["failures"] != 0:
             print(f"FAIL: unexpected stats {stats}", file=sys.stderr)
+            return 1
+        if stats["backend"] != "pool":
+            print(f"FAIL: default backend is {stats['backend']!r}, "
+                  "expected 'pool'", file=sys.stderr)
             return 1
 
         rc = cli_main(["report", "--store", store_path])
