@@ -76,8 +76,8 @@ api-smoke:
 
 ## Fleet smoke: three real `python -m repro worker` processes + a
 ## submitter against temp stores — inline-identical verdicts with zero
-## lost jobs, kill-a-worker recovery via lease-expiry requeue, and an
-## HTTP fleet scan whose stitched trace spans >= 2 worker pids.
+## lost jobs, kill-a-worker recovery via lease expiry and resubmission,
+## and an HTTP fleet scan whose stitched trace spans >= 2 worker pids.
 fleet-smoke:
 	$(PYTHON) tools/fleet_smoke.py
 

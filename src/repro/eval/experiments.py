@@ -654,8 +654,8 @@ def run_experiment(config: ExperimentConfig, seed: int = 0,
     Without a ``scheduler`` the fleet runs serially in-process (the
     historical behaviour, and what the unit tests exercise).  With a
     :class:`repro.service.ScanScheduler` the (case, model) grid is dispatched
-    through the scheduler's prioritized job queue — the same queue + retry
-    machinery the watch daemon drains — process-parallel for ``workers > 1``,
+    through :meth:`~repro.service.ScanScheduler.run_jobs` — the backend and
+    retry loop the watch daemon uses — process-parallel for ``workers > 1``,
     inline otherwise — and, when the scheduler carries a result store, every
     model's detections are recorded there under its weight fingerprint.
     ``checkpoint_dir`` additionally makes workers persist each trained model
@@ -670,8 +670,8 @@ def run_experiment(config: ExperimentConfig, seed: int = 0,
         job_timeout: Per-(case, model) wall-clock budget forwarded to
             :meth:`~repro.service.ScanScheduler.run_jobs` (pool path only;
             default: the scheduler's own ``job_timeout``).
-        job_retries: Bounded retry budget per fleet job (default: the
-            scheduler's own ``job_retries``).
+        job_retries: Bounded retry budget per (case, model) job (default:
+            the scheduler's own ``job_retries``).
 
     Returns:
         The :class:`ExperimentResult` with one row per (case, detector).

@@ -477,14 +477,12 @@ def build_service_registry(scan_rows: Iterable[Mapping[str, Any]],
         registry.counter("repro_fleet_leases_expired_total",
                          "Fleet leases that expired without completion"
                          ).inc(float(fleet.get("leases_expired_total", 0)))
-        registry.counter("repro_fleet_leases_requeued_total",
-                         "Expired fleet leases requeued for another worker"
-                         ).inc(float(fleet.get("leases_requeued_total", 0)))
         registry.counter("repro_fleet_jobs_done_total",
                          "Fleet jobs completed successfully"
                          ).inc(float(fleet.get("jobs_done", 0)))
         registry.counter("repro_fleet_jobs_failed_total",
-                         "Fleet jobs that spent their retry budget"
+                         "Fleet jobs that failed (job error or lease "
+                         "expiry)"
                          ).inc(float(fleet.get("jobs_failed", 0)))
         # A drained queue still exports the family (zero for the default
         # tenant) so dashboards never see the series vanish.

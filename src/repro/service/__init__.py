@@ -13,10 +13,10 @@ The service layer turns the in-process detectors into throughput:
   hits, with ``compact`` / ``merge`` (a legacy single-file ``.jsonl`` store
   is imported through ``merge``);
 * :mod:`repro.service.planning` — the backend-independent planning core:
-  the prioritized :class:`JobQueue`, :class:`ServiceMetrics`, and the
-  shared cache-lookup planner every execution path reuses;
-* :mod:`repro.service.backends` — :class:`ExecutionBackend` and its
-  ``inline`` / ``pool`` implementations (pick via :func:`create_backend`);
+  the prioritized :class:`JobQueue`, the one retry loop,
+  :class:`ServiceMetrics` and the shared cache-lookup planner;
+* :mod:`repro.service.backends` — :class:`ExecutionBackend` (run each job
+  once) and its ``inline`` / ``pool`` implementations (:func:`create_backend`);
 * :mod:`repro.service.fleet` — the lease-based distributed worker fleet:
   a store-adjacent shared job queue (:class:`FleetQueue`), the
   ``python -m repro worker`` process (:class:`FleetWorker`), and the

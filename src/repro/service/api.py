@@ -6,9 +6,9 @@ over the existing scheduler + store stack:
 
 * ``POST /v1/scans`` / ``POST /v1/repairs`` — enqueue a job onto the
   shared multi-tenant :class:`~repro.service.scheduler.JobQueue`
-  (``priority`` in the payload: lower runs first, FIFO within a priority;
-  ``tenant`` labels the job).  Scan payloads may carry a ``strategy``
-  (``fastest|cheapest|thorough``) to run the
+  (``priority`` in the payload: an integer, lower runs first, FIFO within
+  a priority; ``tenant`` labels the job).  Scan payloads may carry a
+  ``strategy`` (``fastest|cheapest|thorough``) to run the
   :mod:`~repro.service.routing` triage plan instead of a single detector.
 * ``GET /v1/jobs/<id>`` — job status (``queued/running/done/failed``)
   with attempt/retry bookkeeping and the job's trace id.
@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 from uuid import uuid4
 
@@ -54,6 +54,7 @@ from ..obs.metrics import MetricsRegistry, build_service_registry
 from ..obs.trace import TRACER, new_trace_id, read_spans, write_spans
 from ..utils.logging import get_logger
 from .fleet import fleet_snapshot
+from .planning import run_attempts
 from .records import ScanRequest
 from .repair import RepairRequest, run_repairs
 from .routing import STRATEGIES, RoutingPolicy, route_scan
@@ -94,14 +95,14 @@ class ApiJob:
     request: Any
     #: Triage strategy for routed scans (``None`` = plain single-detector).
     strategy: Optional[str] = None
-    #: ``queued`` -> ``running`` -> ``done`` | ``failed`` (a retried job
-    #: goes back to ``queued``).
+    #: ``queued`` -> ``running`` -> ``done`` | ``failed`` (a job stays
+    #: ``running`` between its attempts).
     status: str = "queued"
     #: Executions started so far (1 on the first run; retries increment).
     attempts: int = 0
     #: Result payload once ``done`` (record dict, or triage dict).
     result: Optional[Dict[str, Any]] = None
-    #: Last error message once ``failed`` (or between retries).
+    #: Error message once ``failed`` (its last attempt's error).
     error: Optional[str] = None
     created_at: str = ""
     started_at: Optional[str] = None
@@ -130,9 +131,18 @@ class _BadRequest(ValueError):
     """A submit payload the server must answer with 400."""
 
 
+def _parse_priority(payload: Dict[str, Any]) -> int:
+    """The submit payload's integer ``priority`` (default 0)."""
+    try:
+        return int(payload.get("priority", 0))
+    except (TypeError, ValueError) as error:
+        raise _BadRequest(f"priority must be an integer: {error}") from error
+
+
 def _parse_scan_submit(payload: Dict[str, Any]
-                       ) -> Tuple[ScanRequest, Optional[str]]:
-    """Parse a ``POST /v1/scans`` body into (request, strategy)."""
+                       ) -> Tuple[ScanRequest, Optional[str], int]:
+    """Parse a ``POST /v1/scans`` body into (request, strategy, priority)."""
+    priority = _parse_priority(payload)
     strategy = payload.get("strategy")
     if strategy is not None:
         strategy = str(strategy).lower()
@@ -145,11 +155,13 @@ def _parse_scan_submit(payload: Dict[str, Any]
         request = ScanRequest.from_dict(payload)
     except (TypeError, ValueError) as error:
         raise _BadRequest(str(error)) from error
-    return request, strategy
+    return request, strategy, priority
 
 
-def _parse_repair_submit(payload: Dict[str, Any]) -> RepairRequest:
+def _parse_repair_submit(payload: Dict[str, Any]
+                         ) -> Tuple[RepairRequest, int]:
     """Parse a ``POST /v1/repairs`` body (nested ``scan`` or flat)."""
+    priority = _parse_priority(payload)
     body = dict(payload)
     if "scan" not in body:
         if not body.get("checkpoint"):
@@ -157,7 +169,7 @@ def _parse_repair_submit(payload: Dict[str, Any]) -> RepairRequest:
                               "or a top-level 'checkpoint' path")
         body["scan"] = {k: v for k, v in body.items()}
     try:
-        return RepairRequest.from_dict(body)
+        return RepairRequest.from_dict(body), priority
     except (TypeError, KeyError, ValueError) as error:
         raise _BadRequest(str(error)) from error
 
@@ -173,7 +185,7 @@ class ApiServer:
         port: Bind port; ``0`` picks an ephemeral port (see :attr:`port`).
         workers: Scheduler pool size (``0``/``1`` runs scans inline on the
             dispatcher thread).
-        job_retries: Times a failed job is re-queued before ``failed``.
+        job_retries: Times a failed job runs again before ``failed``.
         telemetry: Tracing/profiling toggle (``None`` follows
             ``REPRO_TELEMETRY``).
         backend: Execution backend spec (``inline`` / ``pool`` / ``fleet``)
@@ -293,7 +305,7 @@ class ApiServer:
     # Dispatcher (the only thread that touches the scheduler/store)
     # ------------------------------------------------------------------ #
     def _dispatch_loop(self) -> None:
-        """Pop queued jobs and execute them serially until :meth:`close`."""
+        """Pop queued jobs and run each (retries included) until closed."""
         while not self._stop.is_set():
             try:
                 queued = self.queue.pop(block=True, timeout=0.2)
@@ -302,36 +314,37 @@ class ApiServer:
             job = self.job(str(queued.payload))
             if job is None:
                 continue
-            with self._jobs_lock:
-                job.status = "running"
-                job.attempts = queued.attempts + 1
-                job.started_at = _utc_now()
-                job.error = None
             try:
-                result = self._execute(job)
+                result = run_attempts(self._attempt, [job],
+                                      self.job_retries)[0]
             except Exception as error:  # noqa: BLE001  # repro-lint: disable=exception-hygiene
                 # Any job failure (bad checkpoint, detector crash) must be
                 # reported to the polling client, never kill the dispatcher.
-                message = f"{type(error).__name__}: {error}"
                 with self._jobs_lock:
-                    if queued.attempts < self.job_retries:
-                        job.status = "queued"
-                        job.error = message
-                        self.queue.requeue(queued)
-                        _LOG.warning("job %s failed (%s); retrying "
-                                     "(attempt %d/%d).", job.job_id, message,
-                                     queued.attempts + 1, self.job_retries + 1)
-                    else:
-                        job.status = "failed"
-                        job.error = message
-                        job.finished_at = _utc_now()
-                        _LOG.warning("job %s failed permanently: %s",
-                                     job.job_id, message)
+                    job.status = "failed"
+                    job.error = f"{type(error).__name__}: {error}"
+                    job.finished_at = _utc_now()
+                _LOG.warning("job %s failed permanently: %s", job.job_id,
+                             job.error)
                 continue
             with self._jobs_lock:
                 job.status = "done"
                 job.result = result
                 job.finished_at = _utc_now()
+
+    def _attempt(self, jobs: List[ApiJob]) -> List[Tuple[bool, Any]]:
+        """Run one job once: the ``run_once`` of the dispatcher's attempts."""
+        (job,) = jobs
+        with self._jobs_lock:
+            job.status = "running"
+            job.attempts += 1
+            job.started_at = _utc_now()
+        try:
+            return [(True, self._execute(job))]
+        # The error is this attempt's outcome: run_attempts decides whether
+        # the job runs again or fails.
+        except Exception as error:  # noqa: BLE001  # repro-lint: disable=exception-hygiene
+            return [(False, error)]
 
     def _execute(self, job: ApiJob) -> Dict[str, Any]:
         """Run one job under its trace and return the result payload."""
@@ -544,13 +557,13 @@ class _Handler(BaseHTTPRequestHandler):
         if payload is None:
             return self._last_code
         try:
-            request, strategy = _parse_scan_submit(payload)
+            request, strategy, priority = _parse_scan_submit(payload)
         except _BadRequest as error:
             return self._send_error(400, str(error))
         job = self.api.submit(
             "scan", request, tenant=str(payload.get("tenant",
                                                     DEFAULT_TENANT)),
-            priority=int(payload.get("priority", 0)), strategy=strategy)
+            priority=priority, strategy=strategy)
         return self._send_json(202, job.status_dict())
 
     def _post_repair(self) -> int:
@@ -558,13 +571,13 @@ class _Handler(BaseHTTPRequestHandler):
         if payload is None:
             return self._last_code
         try:
-            request = _parse_repair_submit(payload)
+            request, priority = _parse_repair_submit(payload)
         except _BadRequest as error:
             return self._send_error(400, str(error))
         job = self.api.submit(
             "repair", request, tenant=str(payload.get("tenant",
                                                       DEFAULT_TENANT)),
-            priority=int(payload.get("priority", 0)))
+            priority=priority)
         return self._send_json(202, job.status_dict())
 
     def _get_job(self, job_id: str) -> int:

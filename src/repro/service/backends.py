@@ -3,23 +3,23 @@
 The planning core (:mod:`repro.service.planning`) decides *what* to run;
 an :class:`ExecutionBackend` decides *where*.  Three implementations ship:
 
-* :class:`InlineBackend` — serial, in-process: jobs run in queue order in
+* :class:`InlineBackend` — serial, in-process: jobs run in order in
   the caller, bit-identical to the pool path minus the process hop (the
   test suite's default);
 * :class:`PoolBackend` — one killable child process per job, at most
-  ``workers`` at a time: a job past its wall-clock timeout is killed, and
-  a killed, hung or failing job is retried within the budget;
+  ``workers`` at a time: a job past its wall-clock timeout is killed;
 * :class:`~repro.service.fleet.FleetBackend` — independent worker
   processes pulling from a store-adjacent shared queue with lease-based
   ownership (imported lazily via :func:`create_backend` so the scheduler
   never pays for it).
 
-All three satisfy the same contract — ``run(fn, payloads)`` returns
-``[fn(p) for p in payloads]`` in order, retrying failed jobs up to the
-budget and raising the last error once it is spent — so
-:class:`~repro.service.scheduler.ScanScheduler`, the repair driver, the
-watch daemon, and the HTTP API dispatch through a backend without caring
-which one the operator selected (``--backend inline|pool|fleet``).
+All three satisfy the same contract — ``run(fn, payloads)`` executes each
+payload exactly once and returns one ``(ok, value)`` pair per payload, in
+order — and none of them retries.  Attempts belong to the planning core:
+:meth:`~repro.service.scheduler.ScanScheduler.run_jobs` wraps the backend in
+:func:`~repro.service.planning.run_attempts`, so the repair driver, the
+watch daemon, and the HTTP API get one retry policy whichever backend the
+operator selected (``--backend inline|pool|fleet``).
 """
 
 from __future__ import annotations
@@ -28,17 +28,15 @@ import multiprocessing
 import pickle
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..utils.logging import get_logger
-from .planning import JobQueue, JobTimeoutError, QueuedJob, ServiceMetrics
+from .planning import JobTimeoutError
 
 __all__ = ["ExecutionBackend", "InlineBackend", "PoolBackend",
            "create_backend", "BACKEND_NAMES"]
-
-_LOG = get_logger("repro.service.backends")
 
 #: Backend specs accepted by :func:`create_backend` (and the CLI flag).
 BACKEND_NAMES = ("inline", "pool", "fleet")
@@ -47,103 +45,61 @@ BACKEND_NAMES = ("inline", "pool", "fleet")
 class ExecutionBackend:
     """Contract every execution backend implements.
 
-    A backend turns a sequence of picklable payloads and a module-level
-    function into results, preserving order, with bounded retries.  It owns
-    no resolve/cache logic — callers hand it already-planned work.
+    A backend applies a module-level function to a sequence of picklable
+    payloads, once each, and reports every outcome in order.  It owns no
+    resolve/cache logic and no retry policy — callers hand it
+    already-planned work and decide what to run again.
     """
 
     #: Short identifier rendered in logs, metrics, and ``repro report``.
     name = "abstract"
 
     def run(self, fn: Callable[[Any], Any], payloads: Sequence[Any],
-            timeout: Optional[float] = None, retries: int = 0,
-            metrics: Optional[ServiceMetrics] = None) -> List[Any]:
-        """Apply ``fn`` to every payload, preserving order.
+            timeout: Optional[float] = None) -> List[Tuple[bool, Any]]:
+        """Apply ``fn`` to every payload exactly once, preserving order.
 
         Args:
             fn: Module-level callable (must pickle for process-based
                 backends).
-            payloads: Job inputs; results come back in the same order.
+            payloads: Job inputs; outcomes come back in the same order.
             timeout: Per-job wall-clock budget in seconds (``None``
                 disables it; inline execution cannot be preempted, so only
                 process-based backends enforce it).
-            retries: Retry budget per job — a failed job is re-queued up to
-                this many times before its last error fails the batch.
-            metrics: Optional counters to update (``retries`` /
-                ``failures``).
 
         Returns:
-            ``[fn(p) for p in payloads]``.
+            One ``(True, fn(p))`` or ``(False, error)`` pair per payload;
+            a job past its budget reports a
+            :class:`~repro.service.planning.JobTimeoutError`.
         """
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (no-op by default)."""
 
     def __repr__(self) -> str:
         """``<BackendClass 'name'>`` for logs and debugging."""
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-def _requeue_or_fail(queue: JobQueue, job: QueuedJob, error: BaseException,
-                     retries: int, metrics: ServiceMetrics) -> bool:
-    """Requeue a failed ``job`` while its retry budget lasts.
-
-    Returns True when the job went back on ``queue`` (behind its peers);
-    otherwise counts the failure and returns False, and the caller raises
-    ``error``, failing the batch.
-    """
-    if job.attempts < retries:
-        _LOG.warning("Retrying job %d after %s", job.payload[0], error)
-        metrics.retries += 1
-        queue.requeue(job)
-        return True
-    metrics.failures += 1
-    return False
-
-
-def _job_queue(items: Sequence[Any]) -> JobQueue:
-    """A FIFO queue of ``(index, payload)`` jobs, one per item."""
-    queue = JobQueue()
-    for index, payload in enumerate(items):
-        queue.push((index, payload))
-    return queue
-
-
-def _run_serial(fn: Callable[[Any], Any], queue: JobQueue,
-                results: List[Any], retries: int,
-                metrics: ServiceMetrics) -> None:
-    """Drain ``queue`` inline: run each job in the caller, retrying in place."""
-    while queue:
-        job = queue.pop()
-        index, payload = job.payload
-        try:
-            results[index] = fn(payload)
-        except Exception as error:
-            if _requeue_or_fail(queue, job, error, retries, metrics):
-                continue
-            raise
-
-
 class InlineBackend(ExecutionBackend):
     """Serial in-process execution: the deterministic reference path.
 
-    Jobs run in queue order inside the calling process — bit-identical to
-    the pool path (pool children fork with the same seeds), just without the
+    Jobs run in order inside the calling process — bit-identical to the
+    pool path (pool children fork with the same seeds), just without the
     process hop, which also means a per-job ``timeout`` cannot be enforced.
     """
 
     name = "inline"
 
     def run(self, fn: Callable[[Any], Any], payloads: Sequence[Any],
-            timeout: Optional[float] = None, retries: int = 0,
-            metrics: Optional[ServiceMetrics] = None) -> List[Any]:
-        """Run every payload inline, in queue order (see the base contract)."""
-        items = list(payloads)
-        metrics = metrics if metrics is not None else ServiceMetrics()
-        results: List[Any] = [None] * len(items)
-        _run_serial(fn, _job_queue(items), results, int(retries), metrics)
-        return results
+            timeout: Optional[float] = None) -> List[Tuple[bool, Any]]:
+        """Run every payload inline, in order (see the base contract)."""
+        outcomes: List[Tuple[bool, Any]] = []
+        for payload in payloads:
+            try:
+                outcomes.append((True, fn(payload)))
+            # A job's error is its outcome: reported to the caller, which
+            # re-runs the job or raises it.
+            except Exception as error:  # repro-lint: disable=exception-hygiene
+                outcomes.append((False, error))
+        return outcomes
 
 
 class _RemoteTraceback(Exception):
@@ -176,8 +132,7 @@ def _child_entry(conn: Connection, fn: Callable[[Any], Any],
     try:
         conn.send(("ok", fn(payload)))
     # Process boundary: every failure (incl. KeyboardInterrupt/SystemExit) is
-    # forwarded over the pipe for the parent to retry or raise — nothing is
-    # swallowed.
+    # forwarded over the pipe as the job's outcome — nothing is swallowed.
     except BaseException as error:  # repro-lint: disable=exception-hygiene
         conn.send(("error", _portable(error), traceback.format_exc()))
     finally:
@@ -186,9 +141,9 @@ def _child_entry(conn: Connection, fn: Callable[[Any], Any],
 
 @dataclass
 class _Child:
-    """One running pool job: its queue entry, process, and result pipe."""
+    """One running pool job: its batch index, process, and result pipe."""
 
-    job: QueuedJob
+    index: int
     process: multiprocessing.Process
     conn: Connection
     started: float
@@ -201,7 +156,7 @@ class _Child:
             reply = None
         if reply is None:
             return False, RuntimeError(
-                f"job {self.job.payload[0]} died without reporting a result "
+                f"job {self.index} died without reporting a result "
                 f"(exit code {self.process.exitcode}).")
         if reply[0] == "ok":
             return True, reply[1]
@@ -229,12 +184,11 @@ class PoolBackend(ExecutionBackend):
     payloads and its results must pickle.  A job past ``timeout`` is killed
     (SIGKILL) and fails with :class:`JobTimeoutError`; a child that dies
     without answering fails with a :class:`RuntimeError` carrying its exit
-    code; a job's own exception is re-raised with its type (when it
-    pickles) and the child's traceback chained as its cause.  Each failure
-    is retried within the budget, so one hung or killed job never holds a
-    worker or breaks the batch.  Nothing outlives a batch: when one raises,
-    its running children are killed and reaped first, so :meth:`close` has
-    nothing to release.
+    code; a job's own exception is reported with its type (when it
+    pickles) and the child's traceback chained as its cause.  A failure is
+    one job's outcome, so one hung or killed job never holds a worker or
+    breaks the batch.  Nothing outlives a batch: if it is interrupted, its
+    running children are killed and reaped first.
     """
 
     def __init__(self, workers: int) -> None:
@@ -242,20 +196,17 @@ class PoolBackend(ExecutionBackend):
         self.name = "pool"
 
     def run(self, fn: Callable[[Any], Any], payloads: Sequence[Any],
-            timeout: Optional[float] = None, retries: int = 0,
-            metrics: Optional[ServiceMetrics] = None) -> List[Any]:
+            timeout: Optional[float] = None) -> List[Tuple[bool, Any]]:
         """Run the batch in killable child processes (see the base contract)."""
         items = list(payloads)
-        retries = int(retries)
-        metrics = metrics if metrics is not None else ServiceMetrics()
-        queue = _job_queue(items)
-        results: List[Any] = [None] * len(items)
+        outcomes: List[Tuple[bool, Any]] = [(False, None)] * len(items)
+        queued = deque(enumerate(items))
         capacity = max(1, min(self.workers, len(items)))
         running: List[_Child] = []
         try:
-            while queue or running:
-                while queue and len(running) < capacity:
-                    running.append(self._start(fn, queue.pop()))
+            while queued or running:
+                while queued and len(running) < capacity:
+                    running.append(self._start(fn, *queued.popleft()))
                 budget = None
                 if timeout is not None:
                     budget = max(0.0, min(child.started for child in running)
@@ -269,33 +220,28 @@ class PoolBackend(ExecutionBackend):
                         ok, value = child.outcome()
                     elif timeout is not None and now - child.started >= timeout:
                         ok, value = False, JobTimeoutError(
-                            f"job {child.job.payload[0]} exceeded "
-                            f"{timeout:.1f}s (attempt {child.job.attempts + 1})"
-                            " and was killed.")
+                            f"job {child.index} exceeded {timeout:.1f}s and "
+                            "was killed.")
                     else:
                         continue
                     running.remove(child)
                     child.reap(kill=not ok)
-                    if ok:
-                        results[child.job.payload[0]] = value
-                    elif not _requeue_or_fail(queue, child.job, value,
-                                              retries, metrics):
-                        raise value
+                    outcomes[child.index] = (ok, value)
         finally:
             for child in running:
                 child.reap(kill=True)
-        return results
+        return outcomes
 
     @staticmethod
-    def _start(fn: Callable[[Any], Any], job: QueuedJob) -> _Child:
-        """Fork the child that runs ``job`` and return its handle."""
+    def _start(fn: Callable[[Any], Any], index: int, payload: Any) -> _Child:
+        """Fork the child that runs one job and return its handle."""
         receiver, sender = multiprocessing.Pipe(duplex=False)
         process = multiprocessing.Process(target=_child_entry,
-                                          args=(sender, fn, job.payload[1]))
+                                          args=(sender, fn, payload))
         process.start()
         # Only the child holds the sending end, so its death reads as EOF.
         sender.close()
-        return _Child(job, process, receiver, time.monotonic())
+        return _Child(index, process, receiver, time.monotonic())
 
 
 def create_backend(spec: str, workers: int = 0,

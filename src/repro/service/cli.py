@@ -105,6 +105,22 @@ __all__ = ["build_parser", "main"]
 DEFAULT_STORE = "scan_results"
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for ``--retries``: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type for ``--lease-seconds``: a number > 0."""
+    value = float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value:g}")
+    return value
+
+
 def _add_scan_options(parser: argparse.ArgumentParser) -> None:
     """Attach the scan-budget/scenario flags shared by scan-like commands."""
     parser.add_argument("--model", choices=sorted(MODEL_BUILDERS),
@@ -259,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--job-timeout", type=float, default=None,
                        help="Kill a scan after this many seconds (default: "
                             "unlimited).")
-    watch.add_argument("--retries", type=int, default=1,
+    watch.add_argument("--retries", type=_non_negative, default=1,
                        help="Retry budget per failed/timed-out job.")
     watch.add_argument("--settle-polls", type=int, default=1,
                        help="Polls a file must stay unchanged before scanning "
@@ -309,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=0,
                        help="Scheduler worker processes; 0/1 runs scans "
                             "inline on the dispatcher thread.")
-    serve.add_argument("--retries", type=int, default=1,
+    serve.add_argument("--retries", type=_non_negative, default=1,
                        help="Retry budget per failed job before it is "
                             "marked failed.")
     serve.add_argument("--no-telemetry", action="store_true",
@@ -329,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--worker-id", default=None,
                         help="Stable worker identity on lease/presence "
                              "events (default: a fresh worker-<hex> id).")
-    worker.add_argument("--lease-seconds", type=float, default=30.0,
+    worker.add_argument("--lease-seconds", type=_positive, default=30.0,
                         help="Lease duration stamped on acquire and each "
                              "heartbeat renewal; a worker silent for this "
-                             "long forfeits its job to the fleet.")
+                             "long fails its job as expired (its submitter "
+                             "resubmits it within --retries).")
     worker.add_argument("--poll-interval", type=float, default=0.2,
                         help="Idle sleep between acquire attempts.")
     worker.add_argument("--max-jobs", type=int, default=0,
@@ -630,8 +647,7 @@ def _print_fleet(fleet: dict) -> None:
     print(f"fleet ({fleet.get('workers_live', 0)} live / "
           f"{fleet.get('workers_seen', 0)} seen worker(s)):")
     print(f"  leases: held={fleet.get('leases_held', 0)}  "
-          f"expired={fleet.get('leases_expired_total', 0)}  "
-          f"requeued={fleet.get('leases_requeued_total', 0)}")
+          f"expired={fleet.get('leases_expired_total', 0)}")
     depth = fleet.get("queue_depth") or {}
     rendered = ", ".join(f"{tenant}={count}"
                          for tenant, count in sorted(depth.items()))
@@ -816,7 +832,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     Any number of workers (on any host sharing the store's filesystem) can
     drain one queue; lease-based ownership guarantees each job runs under
     exactly one live worker at a time, and a worker that dies mid-job
-    forfeits its lease for any surviving reader to requeue.
+    loses its lease: any surviving reader fails the job as expired, and
+    the submitter resubmits it while its retry budget lasts.
     """
     print(f"worker draining fleet queue of {args.store} "
           f"(lease: {args.lease_seconds:.0f}s) — Ctrl-C to exit")
@@ -828,7 +845,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             max_jobs=args.max_jobs or None,
             idle_timeout=args.idle_timeout or None)
     except KeyboardInterrupt:
-        print("worker interrupted; lease(s) will expire and requeue.")
+        print("worker interrupted; its job's lease will expire.")
         return 0
     print(f"executed {executed} job(s).")
     return 0

@@ -13,9 +13,10 @@ report`` and external monitors to consume.
 
 Each job runs through :meth:`ScanScheduler.run_jobs` on a one-worker
 ``pool`` backend by default, i.e. in a child process the daemon can *kill*:
-a hung scan is killed at its deadline, counted, and retried at once up to
-the configured budget (:class:`~repro.service.backends.PoolBackend`), and
-the loop keeps serving the rest of the queue.
+a hung scan is killed at its deadline
+(:class:`~repro.service.backends.PoolBackend`), retried at once up to the
+configured budget (:func:`~repro.service.planning.run_attempts`) and
+counted, and the loop keeps serving the rest of the queue.
 
 A checkpoint is only enqueued once its (mtime, size) signature has stayed
 stable for ``settle_polls`` consecutive polls, so half-copied files are never
@@ -292,8 +293,9 @@ class WatchDaemon:
     def _process(self, queued: QueuedJob) -> None:
         """Run one queued job: cache-check, then execute through the scheduler.
 
-        The scheduler's backend owns the job's timeout and retries; a job
-        that exhausts them is logged and counted, and the loop moves on.
+        The scheduler owns the job's timeout (its backend) and retries
+        (:meth:`ScanScheduler.run_jobs`); a job that exhausts them is logged
+        and counted, and the loop moves on.
 
         Scan jobs that come back BACKDOORED enqueue an auto-repair job
         (when ``auto_repair`` is on) behind the remaining scans.
@@ -343,9 +345,8 @@ class WatchDaemon:
             try:
                 record = self.scheduler.run_jobs(worker_fn, [resolved])[0]
             # Jobs can die in arbitrary ways (timeout, OOM kill, any detector
-            # error); the backend has already retried and counted the
-            # failure, and the daemon's liveness contract is to log and keep
-            # watching.
+            # error); run_jobs has already retried and counted the failure,
+            # and the daemon's liveness contract is to log and keep watching.
             except Exception as error:  # repro-lint: disable=exception-hygiene
                 _LOG.error("%s [%s]: giving up after %d attempt(s): %s",
                            job.checkpoint, job.detector,

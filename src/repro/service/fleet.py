@@ -6,10 +6,9 @@ tables next to the result store (:func:`repro.service.store.sidecar_path`
 with name ``fleet``):
 
 * ``fleet/jobs.jsonl`` — job lifecycle events (``submit`` / ``done`` /
-  ``error`` / ``failed``), results riding inline on ``done`` lines;
-* ``fleet/leases.jsonl`` — ownership events (``acquire`` / ``renew`` /
-  ``release`` / ``requeue``) and worker presence (``online`` /
-  ``heartbeat`` / ``offline``).
+  ``failed``), results riding inline on ``done`` lines;
+* ``fleet/leases.jsonl`` — ownership events (``acquire`` / ``renew``) and
+  worker presence (``online`` / ``heartbeat`` / ``offline``).
 
 Every mutation appends one line under a single advisory
 :class:`~repro.service.locks.FileLock` (``fleet/locks/fleet.lock``) using
@@ -19,14 +18,17 @@ after one.
 
 **Lease-based ownership.**  A worker *acquires* a job by stamping a lease
 with a deadline (``now + lease_seconds``) and renews it from a heartbeat
-thread while the job runs.  A lease whose deadline passes — worker killed,
-hung, or partitioned — is *requeued by any reader* (submitter poll, another
-worker's acquire, a metrics snapshot) up to the job's retry budget; past
-the budget the job fails with the shared
-:class:`~repro.service.planning.JobTimeoutError` semantics.  Results and
-errors are ownership-checked under the lock, so a worker that lost its
-lease can never publish over the current owner (no double ownership), and
-a submitted job always ends ``done`` or ``failed`` (no lost jobs) — the
+thread while the job runs.  Each fleet job is one attempt: a lease whose
+deadline passes — worker killed, hung, or partitioned — is *failed by any
+reader* (submitter poll, another worker's acquire, a metrics snapshot) as
+expired, and a job error fails it too.  Whether to try again is the
+submitter's call: :class:`FleetBackend` reports an expiry as the shared
+:class:`~repro.service.planning.JobTimeoutError`, and the planning core's
+:func:`~repro.service.planning.run_attempts` resubmits the payload as a new
+fleet job within its retry budget.  Results and errors are
+ownership-checked under the lock, so a worker that lost its lease can
+never publish over the current owner (no double ownership), and a
+submitted job always ends ``done`` or ``failed`` (no lost jobs) — the
 invariants ``tests/test_fleet.py`` drives with hypothesis.
 
 :class:`FleetBackend` adapts the queue to the
@@ -42,14 +44,14 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 from uuid import uuid4
 
 from ..utils.jsonl import append_line
 from ..utils.logging import get_logger
 from .backends import ExecutionBackend
-from .planning import JobTimeoutError, ServiceMetrics
+from .planning import JobTimeoutError
 from .records import ScanRequest, record_from_dict
 from .repair import ResolvedRepair, execute_repair, resolve_repair
 from .scheduler import ResolvedScan, execute_resolved
@@ -66,7 +68,7 @@ _LOG = get_logger("repro.service.fleet")
 #: Tenant label applied when a submitter does not name one.
 DEFAULT_TENANT = "default"
 #: Default lease duration: how long a worker may go silent before any
-#: reader may requeue its job.
+#: reader may fail its job as expired.
 DEFAULT_LEASE_SECONDS = 30.0
 #: Fleet table file names inside the fleet directory.
 JOBS_NAME = "jobs.jsonl"
@@ -76,10 +78,9 @@ LEASES_NAME = "leases.jsonl"
 class LeaseLostError(RuntimeError):
     """A worker acted on a job whose lease it no longer holds.
 
-    Raised on ``renew`` / ``complete`` / ``error`` when the job was requeued
-    (lease expired) or finished by another owner in the meantime.  The
-    worker must discard its result — the queue's current owner is
-    authoritative.
+    Raised on ``renew`` / ``complete`` / ``error`` when the job's lease
+    expired (failing the job) or the job finished in the meantime.  The
+    worker must discard its result — the queue is authoritative.
     """
 
 
@@ -242,10 +243,7 @@ class FleetJob:
     payload: Dict[str, Any]
     tenant: str
     priority: int
-    retries: int
     sequence: int
-    #: Executions started so far (one per ``acquire`` event).
-    attempts: int = 0
     #: Current lease holder (``None`` when queued or terminal).
     owner: Optional[str] = None
     #: Lease expiry timestamp while leased.
@@ -256,8 +254,6 @@ class FleetJob:
     expired: bool = False
     result: Any = None
     error: str = ""
-    #: Non-terminal attempt errors seen so far (diagnostics only).
-    attempt_errors: List[str] = dataclass_field(default_factory=list)
 
     @property
     def status(self) -> str:
@@ -278,8 +274,6 @@ class FleetClaim:
     job_id: str
     kind: str
     payload: Dict[str, Any]
-    attempts: int
-    retries: int
     deadline: float
 
 
@@ -305,7 +299,7 @@ class FleetQueue:
         clock: Time source (injectable for the lease state-machine tests;
             production uses ``time.time`` so deadlines are comparable
             across machines sharing a filesystem).
-        reader_id: Label stamped on requeue/fail events this reader writes
+        reader_id: Label stamped on the expiry events this reader writes
             (defaults to ``<hostname>:<pid>``).
     """
 
@@ -326,7 +320,6 @@ class FleetQueue:
         #: worker id -> (pid, liveness deadline, offline flag).
         self._workers: Dict[str, List[Any]] = {}
         self._leases_expired = 0
-        self._leases_requeued = 0
         os.makedirs(os.path.join(self.path, "locks"), exist_ok=True)
 
     # ------------------------------------------------------------------ #
@@ -377,7 +370,6 @@ class FleetQueue:
                 payload=event.get("payload") or {},
                 tenant=event.get("tenant", DEFAULT_TENANT),
                 priority=int(event.get("priority", 0)),
-                retries=int(event.get("retries", 0)),
                 sequence=self._sequence)
             self._sequence += 1
             return
@@ -388,8 +380,6 @@ class FleetQueue:
             job.done = True
             job.result = event.get("result")
             job.owner = None
-        elif name == "error":
-            job.attempt_errors.append(str(event.get("error", "")))
         elif name == "failed":
             job.failed = True
             job.error = str(event.get("error", ""))
@@ -413,44 +403,26 @@ class FleetQueue:
         if job is None:
             return
         if name == "acquire":
-            job.attempts += 1
             job.owner = event.get("worker")
             job.deadline = float(event.get("deadline", 0.0))
         elif name == "renew":
             job.deadline = float(event.get("deadline", 0.0))
-        elif name == "requeue":
-            job.owner = None
-            self._leases_requeued += 1
-            if event.get("reason") == "expired":
-                self._leases_expired += 1
-        elif name == "release":
-            job.owner = None
 
     # ------------------------------------------------------------------ #
-    # Lease reaping (any reader may requeue an expired lease)
+    # Lease reaping (any reader may fail an expired lease)
     # ------------------------------------------------------------------ #
     def _reap(self) -> None:
-        """Requeue or fail every job whose lease deadline passed (lock held)."""
+        """Fail every job whose lease deadline passed as expired (lock held)."""
         now = self.clock()
         for job in list(self._jobs.values()):
             if job.status != "leased" or job.deadline > now:
                 continue
-            if job.attempts >= job.retries + 1:
-                _LOG.warning("fleet job %s: lease expired on final attempt "
-                             "%d; failing.", job.job_id, job.attempts)
-                self._append(self._jobs_path, {
-                    "event": "failed", "job": job.job_id,
-                    "by": self.reader_id, "expired": True,
-                    "error": (f"lease expired after {job.attempts} "
-                              f"attempt(s) of {job.retries + 1} "
-                              f"(last worker: {job.owner})")})
-            else:
-                _LOG.warning("fleet job %s: lease held by %s expired; "
-                             "requeueing (attempt %d/%d).", job.job_id,
-                             job.owner, job.attempts, job.retries + 1)
-                self._append(self._leases_path, {
-                    "event": "requeue", "job": job.job_id,
-                    "by": self.reader_id, "reason": "expired"})
+            _LOG.warning("fleet job %s: lease held by %s expired; failing.",
+                         job.job_id, job.owner)
+            self._append(self._jobs_path, {
+                "event": "failed", "job": job.job_id, "by": self.reader_id,
+                "expired": True,
+                "error": f"lease expired (worker: {job.owner})"})
         self._refresh()
 
     def _require_owner(self, job_id: str, worker: str) -> FleetJob:
@@ -468,9 +440,8 @@ class FleetQueue:
     # Submitter API
     # ------------------------------------------------------------------ #
     def submit(self, kind: str, payload: Dict[str, Any],
-               tenant: str = DEFAULT_TENANT, priority: int = 0,
-               retries: int = 0) -> str:
-        """Enqueue one job; returns its fleet job id.
+               tenant: str = DEFAULT_TENANT, priority: int = 0) -> str:
+        """Enqueue one job (one attempt); returns its fleet job id.
 
         Args:
             kind: Registered :class:`JobKind` wire name.
@@ -478,8 +449,6 @@ class FleetQueue:
             tenant: Queue-depth attribution label (the HTTP API stamps its
                 per-job tenant here).
             priority: Lower runs first; FIFO within a priority.
-            retries: Re-execution budget after failures/expiries — the same
-                semantics as the inline and pool backends.
         """
         job_id = f"job-{uuid4().hex[:12]}"
         with self._mutex, self._lock:
@@ -487,7 +456,7 @@ class FleetQueue:
             self._append(self._jobs_path, {
                 "event": "submit", "job": job_id, "kind": kind,
                 "payload": payload, "tenant": tenant,
-                "priority": int(priority), "retries": int(retries)})
+                "priority": int(priority)})
             self._refresh()
         return job_id
 
@@ -522,9 +491,9 @@ class FleetQueue:
                 worker_ttl: Optional[float] = None) -> Optional[FleetClaim]:
         """Lease the front queued job to ``worker`` (``None`` when idle).
 
-        One locked round trip: heartbeat the worker, reap expired leases
-        (possibly requeueing work this very call then claims), pick the
-        lowest ``(priority, sequence)`` queued job, and stamp its lease.
+        One locked round trip: heartbeat the worker, reap expired leases,
+        pick the lowest ``(priority, sequence)`` queued job, and stamp its
+        lease.
         """
         with self._mutex, self._lock:
             self._refresh()
@@ -545,15 +514,14 @@ class FleetQueue:
                 "pid": int(pid), "deadline": deadline})
             self._refresh()
             return FleetClaim(job_id=job.job_id, kind=job.kind,
-                              payload=job.payload, attempts=job.attempts,
-                              retries=job.retries, deadline=job.deadline)
+                              payload=job.payload, deadline=job.deadline)
 
     def renew(self, job_id: str, worker: str, lease_seconds: float) -> float:
         """Extend a held lease; returns the new deadline.
 
         Raises:
-            LeaseLostError: The lease expired and was requeued (or finished
-                by another owner) — the worker should abandon the job.
+            LeaseLostError: The lease expired (or the job finished) — the
+                worker should abandon the job.
         """
         with self._mutex, self._lock:
             self._refresh()
@@ -583,10 +551,7 @@ class FleetQueue:
             self._refresh()
 
     def error(self, job_id: str, worker: str, message: str) -> None:
-        """Record a failed attempt, releasing (or exhausting) the job.
-
-        Within budget the job returns to the queue; on the final attempt it
-        fails terminally with ``message``.
+        """Fail the job with ``message``, ownership-checked.
 
         Raises:
             LeaseLostError: ``worker`` no longer owns the job.
@@ -594,17 +559,10 @@ class FleetQueue:
         with self._mutex, self._lock:
             self._refresh()
             self._reap()
-            job = self._require_owner(job_id, worker)
-            if job.attempts >= job.retries + 1:
-                self._append(self._jobs_path, {
-                    "event": "failed", "job": job_id, "worker": worker,
-                    "expired": False, "error": str(message)})
-            else:
-                self._append(self._jobs_path, {
-                    "event": "error", "job": job_id, "worker": worker,
-                    "error": str(message)})
-                self._append(self._leases_path, {
-                    "event": "release", "job": job_id, "worker": worker})
+            self._require_owner(job_id, worker)
+            self._append(self._jobs_path, {
+                "event": "failed", "job": job_id, "worker": worker,
+                "expired": False, "error": str(message)})
             self._refresh()
 
     # ------------------------------------------------------------------ #
@@ -614,7 +572,7 @@ class FleetQueue:
         """Fleet gauges/counters for ``/metrics`` and ``repro report``.
 
         Reaps first — a snapshot is "any reader" too, so a dead worker's
-        leases are requeued even when only a dashboard is watching.
+        leases expire even when only a dashboard is watching.
         """
         with self._mutex, self._lock:
             self._refresh()
@@ -635,7 +593,6 @@ class FleetQueue:
                 "workers_seen": len(self._workers),
                 "leases_held": by_status["leased"],
                 "leases_expired_total": self._leases_expired,
-                "leases_requeued_total": self._leases_requeued,
                 "jobs_queued": by_status["queued"],
                 "jobs_done": by_status["done"],
                 "jobs_failed": by_status["failed"],
@@ -667,7 +624,8 @@ class FleetWorker:
         worker_id: Stable identity on lease/presence events (default
             ``worker-<8 hex>``; pass an explicit id to survive restarts as
             "the same" worker in dashboards).
-        lease_seconds: Lease duration stamped on acquire and each renewal.
+        lease_seconds: Lease duration stamped on acquire and each renewal
+            (must be positive).
         heartbeat_seconds: Renewal cadence (default ``lease_seconds / 3``,
             so two missed beats still keep the lease alive).
         poll_interval: Idle sleep between acquire attempts.
@@ -683,6 +641,9 @@ class FleetWorker:
                  poll_interval: float = 0.2,
                  max_jobs: Optional[int] = None,
                  idle_timeout: Optional[float] = None) -> None:
+        if lease_seconds <= 0:
+            raise ValueError(f"lease_seconds must be > 0, got "
+                             f"{lease_seconds}")
         self.queue = FleetQueue(store_path)
         self.worker_id = worker_id or f"worker-{uuid4().hex[:8]}"
         self.lease_seconds = float(lease_seconds)
@@ -725,11 +686,11 @@ class FleetWorker:
             return
         except Exception as error:  # repro-lint: disable=exception-hygiene
             # The worker loop is a keep-the-fleet-alive boundary: the error
-            # is published to the queue (retry/fail decision happens there)
-            # and the worker moves on to the next job.
+            # fails the job in the queue (the submitter decides whether to
+            # resubmit) and the worker moves on to the next job.
             stop.set()
             renewer.join()
-            _LOG.warning("%s: job %s attempt failed: %s", self.worker_id,
+            _LOG.warning("%s: job %s failed: %s", self.worker_id,
                          claim.job_id, error)
             try:
                 self.queue.error(claim.job_id, self.worker_id,
@@ -804,9 +765,9 @@ class FleetBackend(ExecutionBackend):
     """Run batches through the shared fleet queue (workers execute).
 
     The submitter never executes jobs itself: it encodes payloads, submits
-    them, then polls — and polling makes it a lease reaper, so even with
-    every worker dead the batch fails deterministically once retry budgets
-    are spent instead of hanging on a silent lease.
+    each as one fleet job, then polls — and polling makes it a lease
+    reaper, so even with every worker dead each job ends (as an expiry)
+    instead of hanging on a silent lease.
 
     Args:
         store_path: Store whose fleet tables coordinate the work.
@@ -831,10 +792,12 @@ class FleetBackend(ExecutionBackend):
         self.name = "fleet"
 
     def run(self, fn: Callable[[Any], Any], payloads: Any,
-            timeout: Optional[float] = None, retries: int = 0,
-            metrics: Optional[ServiceMetrics] = None) -> List[Any]:
-        """Submit the batch to the fleet and wait for every verdict.
+            timeout: Optional[float] = None) -> List[Tuple[bool, Any]]:
+        """Submit each payload as one fleet job and wait for every outcome.
 
+        A lease expiry is reported as a
+        :class:`~repro.service.planning.JobTimeoutError`, a job error as a
+        :class:`RuntimeError` carrying the worker's ``Type: message``.
         ``timeout`` (the pool backends' per-job wall clock) is not enforced
         here — lease expiry already bounds a silent worker, and a *running*
         fleet worker renews its lease for as long as the job genuinely
@@ -844,10 +807,9 @@ class FleetBackend(ExecutionBackend):
         items = list(payloads)
         if not items:
             return []
-        metrics = metrics if metrics is not None else ServiceMetrics()
         kind = kind_for(fn)
         job_ids = [self.queue.submit(kind.name, kind.encode(payload),
-                                     tenant=self.tenant, retries=int(retries))
+                                     tenant=self.tenant)
                    for payload in items]
         _LOG.info("fleet: submitted %d %s job(s) to %s.", len(job_ids),
                   kind.name, self.queue.path)
@@ -866,14 +828,13 @@ class FleetBackend(ExecutionBackend):
                         snap["jobs_queued"], self.queue.path)
                 last_warn = time.monotonic()
             time.sleep(self.poll_interval)
-        results: List[Any] = []
+        outcomes: List[Tuple[bool, Any]] = []
         for job_id in job_ids:
             job = state[job_id]
-            metrics.retries += max(0, job.attempts - 1)
-            if job.failed:
-                metrics.failures += 1
-                if job.expired:
-                    raise JobTimeoutError(f"fleet job {job_id}: {job.error}")
-                raise RuntimeError(f"fleet job {job_id}: {job.error}")
-            results.append(kind.decode_result(job.result))
-        return results
+            if job.done:
+                outcomes.append((True, kind.decode_result(job.result)))
+            else:
+                error = JobTimeoutError if job.expired else RuntimeError
+                outcomes.append((False, error(f"fleet job {job_id}: "
+                                              f"{job.error}")))
+        return outcomes

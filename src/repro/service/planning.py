@@ -1,4 +1,4 @@
-"""Backend-independent planning core: queueing, retries, metrics, cache plans.
+"""Backend-independent planning core: queueing, attempts, metrics, cache plans.
 
 Everything in this module is pure bookkeeping — no process pools, no child
 processes, no fleet files.  The pieces were extracted from the original
@@ -7,9 +7,10 @@ processes, no fleet files.  The pieces were extracted from the original
 point (scheduler, repair driver, watch daemon, HTTP API) shares one
 implementation of:
 
-* :class:`JobQueue` / :class:`QueuedJob` — prioritized FIFO dispatch with
-  per-job retry counting (lower ``priority`` first, FIFO within a
-  priority, a retried job re-enters behind its peers);
+* :func:`run_attempts` — the only retry loop: backends run each job once
+  and report ``(ok, value)``; it re-runs failures within the budget;
+* :class:`JobQueue` / :class:`QueuedJob` — prioritized FIFO dispatch
+  (lower ``priority`` first, FIFO within a priority);
 * :class:`JobTimeoutError` — the shared wall-clock/lease failure type;
 * :class:`ServiceMetrics` — cumulative service counters plus the bounded
   sorted latency window behind the p50/p95 snapshots;
@@ -17,9 +18,9 @@ implementation of:
   in-batch duplicate collapsing, and hit/miss accounting, shared by scan
   batches and repair batches.
 
-The split matters for the fleet: a remote worker process must agree with
-the submitter about retry budgets and failure semantics without importing
-any executor machinery, and the planning core is that contract.
+The split matters for the fleet: a remote worker process executes a job
+once and reports its outcome, and the submitter's planning core alone
+decides whether to run it again.
 """
 
 from __future__ import annotations
@@ -35,20 +36,23 @@ from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
 import numpy as np
 
 from ..obs.trace import TRACER, span as _span
+from ..utils.logging import get_logger
 
 __all__ = ["JobTimeoutError", "QueuedJob", "JobQueue", "ServiceMetrics",
-           "CachePlanner", "LATENCY_WINDOW"]
+           "CachePlanner", "LATENCY_WINDOW", "run_attempts"]
+
+_LOG = get_logger("repro.service.planning")
 
 #: Number of recent computed-scan latencies kept for percentile snapshots.
 LATENCY_WINDOW = 1024
 
 
 class JobTimeoutError(RuntimeError):
-    """A job exceeded its wall-clock budget (and its retry budget, if any).
+    """A job exceeded its wall-clock budget.
 
-    Raised by the pool backend for per-job timeouts, and by the fleet
-    backend when a job's lease expired past its retry budget — both are the
-    same operational condition: the work did not finish inside its bound.
+    Reported by the pool backend for a job it killed at its timeout, and by
+    the fleet backend for a job whose lease expired — both are the same
+    operational condition: the work did not finish inside its bound.
     """
 
 
@@ -57,19 +61,16 @@ class QueuedJob:
     """One queue entry: a payload with scheduling metadata.
 
     Ordering (what the heap compares) is ``(priority, sequence)``: lower
-    priority first, FIFO within a priority.  ``attempts`` counts executions
-    so far — a retried job re-enters the queue with a fresh sequence number,
-    placing it behind already-queued peers of the same priority.
+    priority first, FIFO within a priority.
     """
 
     priority: int
     sequence: int
     payload: Any = dataclass_field(compare=False)
-    attempts: int = dataclass_field(default=0, compare=False)
 
 
 class JobQueue:
-    """Prioritized FIFO job queue with retry bookkeeping (heap-based).
+    """Prioritized FIFO job queue (heap-based).
 
     Not thread-safe by default — the scheduler and the daemon drive it from
     a single dispatcher loop (workers never touch the queue).  Pass
@@ -89,18 +90,18 @@ class JobQueue:
         """Enqueue ``payload``; lower ``priority`` runs first.
 
         Returns:
-            The :class:`QueuedJob` wrapper (useful for later :meth:`requeue`).
+            The :class:`QueuedJob` wrapper.
         """
         if self._cond is None:
-            return self._push(payload, priority, attempts=0)
+            return self._push(payload, priority)
         with self._cond:
-            job = self._push(payload, priority, attempts=0)
+            job = self._push(payload, priority)
             self._cond.notify()
             return job
 
-    def _push(self, payload: Any, priority: int, attempts: int) -> QueuedJob:
+    def _push(self, payload: Any, priority: int) -> QueuedJob:
         job = QueuedJob(priority=int(priority), sequence=self._sequence,
-                        payload=payload, attempts=attempts)
+                        payload=payload)
         self._sequence += 1
         heapq.heappush(self._heap, job)
         return job
@@ -121,17 +122,6 @@ class JobQueue:
             if block:
                 self._cond.wait_for(lambda: bool(self._heap), timeout=timeout)
             return heapq.heappop(self._heap)
-
-    def requeue(self, job: QueuedJob) -> QueuedJob:
-        """Re-enqueue a failed job behind same-priority peers, counting the attempt."""
-        if self._cond is None:
-            return self._push(job.payload, job.priority,
-                              attempts=job.attempts + 1)
-        with self._cond:
-            retry = self._push(job.payload, job.priority,
-                               attempts=job.attempts + 1)
-            self._cond.notify()
-            return retry
 
     def __len__(self) -> int:
         """Number of queued (not yet popped) jobs."""
@@ -253,6 +243,62 @@ class ServiceMetrics:
             "activation_cache_hit_ratio": round(
                 self.activation_cache_hit_ratio, 4),
         }
+
+
+def run_attempts(run_once: Callable[[List[Any]], Sequence[Tuple[bool, Any]]],
+                 payloads: Sequence[Any], retries: int,
+                 metrics: Optional[ServiceMetrics] = None) -> List[Any]:
+    """Run every payload until it succeeds or has spent its retry budget.
+
+    The service's only retry loop.  Each round hands the jobs still owed a
+    result to ``run_once``, which executes each exactly once and returns one
+    ``(ok, value)`` pair per payload, in order: the result, or the job's
+    error.  Failed jobs run again in the next round (a retry waits for the
+    rest of its round), for at most ``retries + 1`` rounds.
+
+    Args:
+        run_once: One execution pass, e.g. a bound
+            :meth:`~repro.service.backends.ExecutionBackend.run`.
+        payloads: Job inputs; results come back in the same order.
+        retries: Extra attempts each failed job may make (``>= 0``).
+        metrics: Optional counters: ``retries`` counts re-run jobs and
+            ``failures`` jobs that spent their budget.
+
+    Returns:
+        One result per payload, in order.
+
+    Raises:
+        ValueError: ``retries`` is negative.
+        Exception: The first exhausted job's own error, once the final
+            round has finished.
+    """
+    retries = int(retries)
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}.")
+    items = list(payloads)
+    results: List[Any] = [None] * len(items)
+    pending = list(range(len(items)))
+    for attempt in range(retries + 1):
+        if not pending:
+            break
+        outcomes = run_once([items[index] for index in pending])
+        failed = []
+        for index, (ok, value) in zip(pending, outcomes):
+            if ok:
+                results[index] = value
+            else:
+                failed.append((index, value))
+        if failed and attempt == retries:
+            if metrics is not None:
+                metrics.failures += len(failed)
+            raise failed[0][1]
+        for index, error in failed:
+            _LOG.warning("Retrying job %d (attempt %d of %d) after %s",
+                         index, attempt + 2, retries + 1, error)
+        if metrics is not None:
+            metrics.retries += len(failed)
+        pending = [index for index, _ in failed]
+    return results
 
 
 class CachePlanner:

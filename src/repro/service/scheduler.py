@@ -25,7 +25,8 @@ is an :class:`~repro.service.backends.ExecutionBackend` — serial
 (``inline``), process pool (``pool``), or the lease-coordinated worker
 fleet (``fleet``, :mod:`repro.service.fleet`) — selected per scheduler via
 the ``backend`` argument (every CLI entry point exposes it as
-``--backend``).  Queue/retry/timeout machinery lives in
+``--backend``).  Backends run each job once; the queue, the retry loop
+(:func:`~repro.service.planning.run_attempts`) and the metrics live in
 :mod:`repro.service.planning`; :class:`JobQueue`, :class:`QueuedJob`,
 :class:`JobTimeoutError`, :class:`ServiceMetrics`, and
 :data:`LATENCY_WINDOW` are re-exported here for compatibility.
@@ -72,7 +73,7 @@ from ..utils.logging import get_logger
 from .backends import ExecutionBackend, create_backend
 from .fingerprint import digest_config, fingerprint_state_dict, scan_key
 from .planning import (CachePlanner, JobQueue, JobTimeoutError, LATENCY_WINDOW,
-                       QueuedJob, ServiceMetrics)
+                       QueuedJob, ServiceMetrics, run_attempts)
 from .records import ScanRecord, ScanRequest
 from .store import ShardedResultStore
 
@@ -476,7 +477,7 @@ class ScanScheduler:
         job_timeout: Default per-job wall-clock budget (seconds) for
             :meth:`run_jobs` on the pool path; ``None`` disables it.
         job_retries: Default retry budget per job — a failed (or timed-out)
-            job is re-queued up to this many times before the batch fails.
+            job runs again up to this many times before the batch fails.
         telemetry: Record trace spans and per-phase profiles for every
             request.  ``None`` (the default) follows ``REPRO_TELEMETRY``
             (on unless set falsy); pass False for library callers that
@@ -551,13 +552,12 @@ class ScanScheduler:
                  retries: Optional[int] = None) -> List[_ResultT]:
         """Apply a module-level ``fn`` to every payload, preserving order.
 
-        Dispatch happens through the scheduler's execution backend: every
-        payload goes through the prioritized planning queue (all at
-        priority 0 here, so plain FIFO) with the scheduler's retry budget;
-        process-based backends additionally enforce ``timeout`` seconds of
-        wall clock per job.  A job that exhausts its retries re-raises its
-        last error (:class:`JobTimeoutError` for timeouts and expired fleet
-        leases), failing the batch.
+        The backend runs each job once per round (process-based backends
+        enforce ``timeout`` seconds of wall clock per job) and
+        :func:`~repro.service.planning.run_attempts` re-runs failures within
+        the retry budget, counting into :attr:`metrics`.  A job that
+        exhausts its retries re-raises its last error
+        (:class:`JobTimeoutError` for timeouts and expired fleet leases).
 
         Args:
             fn: Module-level callable (must pickle for the pool path; must
@@ -569,12 +569,13 @@ class ScanScheduler:
             retries: Retry budget override (default: ``job_retries``).
 
         Returns:
-            ``[fn(p) for p in payloads]``, computed queue-driven.
+            ``[fn(p) for p in payloads]``.
         """
         timeout = self.job_timeout if timeout is None else timeout
-        retries = self.job_retries if retries is None else int(retries)
-        return self.backend.run(fn, list(payloads), timeout=timeout,
-                                retries=retries, metrics=self.metrics)
+        retries = self.job_retries if retries is None else retries
+        return run_attempts(
+            lambda batch: self.backend.run(fn, batch, timeout=timeout),
+            payloads, retries, metrics=self.metrics)
 
     # ------------------------------------------------------------------ #
     # Cached scanning

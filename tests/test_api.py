@@ -226,6 +226,17 @@ class TestErrorContracts:
         code, body = _request(base, "POST", "/v1/scans")
         assert code == 400 and "empty" in body["error"]
 
+    @pytest.mark.parametrize("route", ["/v1/scans", "/v1/repairs"])
+    @pytest.mark.parametrize("priority", [None, "high"])
+    def test_bad_priority_400(self, server, base, route, priority):
+        code, body = _request(base, "POST", route,
+                              {"checkpoint": "x.npz", "priority": priority})
+        assert code == 400 and "priority" in body["error"]
+        counted = parse_prometheus_text(server.metrics_text())[
+            "repro_http_requests_total"]
+        assert ({"method": "POST", "route": route, "code": "400"}, 1.0) \
+            in counted
+
     def test_wrong_method_405(self, base):
         assert _request(base, "GET", "/v1/scans")[0] == 405
         assert _request(base, "GET", "/v1/repairs")[0] == 405
@@ -394,8 +405,8 @@ class TestStrategyOverApi:
 # --------------------------------------------------------------------- #
 # JobQueue invariants the API's queueing leans on
 # --------------------------------------------------------------------- #
-#: One fuzzed op: (op kind selector, priority for pushes).
-_OPS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+#: One fuzzed op: (push or pop, priority for pushes).
+_OPS = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3)),
                 min_size=1, max_size=60)
 
 
@@ -404,42 +415,28 @@ class TestJobQueueFuzz:
     @given(ops=_OPS, thread_safe=st.booleans())
     def test_random_interleavings_stay_prioritized_fifo(self, ops,
                                                         thread_safe):
-        """Push/pop/requeue interleavings vs a reference model.
+        """Push/pop interleavings vs a reference model.
 
         The model mirrors the contract: pops return the lowest priority
-        first and FIFO within a priority; a requeued job keeps its
-        priority, goes behind already-queued same-priority peers, and
-        carries ``attempts + 1``.
+        first and FIFO within a priority.
         """
         queue = JobQueue(thread_safe=thread_safe)
-        model = []  # heap of (priority, seq, payload, attempts)
+        model = []  # heap of (priority, seq, payload)
         seq = 0
-        popped = []  # jobs available to requeue
-        next_payload = 0
         for op, priority in ops:
             if op == 0:  # push
-                queue.push(next_payload, priority=priority)
-                heapq.heappush(model, (priority, seq, next_payload, 0))
+                queue.push(seq, priority=priority)
+                heapq.heappush(model, (priority, seq, seq))
                 seq += 1
-                next_payload += 1
-            elif op == 1 and model:  # pop
+            elif model:  # pop
                 job = queue.pop()
                 want = heapq.heappop(model)
-                assert (job.priority, job.payload, job.attempts) == \
-                    (want[0], want[2], want[3])
-                popped.append(job)
-            elif op == 2 and popped:  # requeue a previously popped job
-                job = popped.pop(priority % len(popped))
-                queue.requeue(job)
-                heapq.heappush(model, (job.priority, seq, job.payload,
-                                       job.attempts + 1))
-                seq += 1
+                assert (job.priority, job.payload) == (want[0], want[2])
             assert len(queue) == len(model)
         while model:
             job = queue.pop()
             want = heapq.heappop(model)
-            assert (job.priority, job.payload, job.attempts) == \
-                (want[0], want[2], want[3])
+            assert (job.priority, job.payload) == (want[0], want[2])
         assert not queue
 
     def test_threaded_producers_and_consumers_lose_nothing(self):

@@ -168,20 +168,9 @@ class TestJobQueue:
         assert [queue.pop().payload for _ in range(3)] == [
             "first-high", "second-high", "late-low"]
 
-    def test_requeue_goes_behind_peers_and_counts_attempts(self):
-        queue = JobQueue()
-        first = queue.push("flaky", priority=0)
-        queue.push("steady", priority=0)
-        popped = queue.pop()
-        assert popped is first
-        retried = queue.requeue(popped)
-        assert retried.attempts == 1
-        assert queue.pop().payload == "steady"  # retry waits its turn
-        assert queue.pop().attempts == 1
-
 
 # ---------------------------------------------------------------------- #
-# Scheduler run_jobs: timeout + retries through the shared queue
+# Scheduler run_jobs: timeout + retries through the planning core
 # ---------------------------------------------------------------------- #
 class TestRunJobsRetries:
     def test_serial_retry_recovers(self, tmp_path):
@@ -196,10 +185,10 @@ class TestRunJobsRetries:
         scheduler = ScanScheduler(workers=0, job_retries=2)
         with pytest.raises(RuntimeError, match="boom"):
             scheduler.run_jobs(_boom_scan, [None, None])
-        # Retries interleave FIFO across both failing jobs (2 each) before
-        # the first one exhausts its budget and the batch fails.
+        # Both failing jobs retry in rounds (2 each); the final round
+        # finishes before the batch fails, so both count as failures.
         assert scheduler.metrics.retries == 4
-        assert scheduler.metrics.failures == 1
+        assert scheduler.metrics.failures == 2
 
     def test_pool_retry_recovers(self, tmp_path):
         scheduler = ScanScheduler(workers=2, job_retries=1)
@@ -208,6 +197,21 @@ class TestRunJobsRetries:
                                      [(markers[0], 1), (markers[1], 2)])
         assert results == [2, 4]
         assert scheduler.metrics.retries == 2
+
+    def test_negative_retry_budget_is_rejected(self, tmp_path):
+        marker = str(tmp_path / "marker")
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            ScanScheduler(workers=0).run_jobs(_fail_once_then_double,
+                                              [(marker, 1)], retries=-1)
+        assert not os.path.exists(marker)  # rejected before any attempt
+
+    @pytest.mark.parametrize("command",
+                             [["watch", "drop"], ["serve", "store"]])
+    def test_cli_rejects_negative_retries(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(command + ["--retries", "-1"])
+        assert exit_info.value.code == 2
+        assert "--retries: must be >= 0, got -1" in capsys.readouterr().err
 
     def test_pool_timeout_raises_job_timeout(self):
         scheduler = ScanScheduler(workers=2)
@@ -264,33 +268,39 @@ class TestCheckpointWatcher:
 # ---------------------------------------------------------------------- #
 # Pool children: hard timeout and fault injection
 # ---------------------------------------------------------------------- #
+def _pool(workers=1):
+    """A scheduler whose run_jobs goes through the pool backend."""
+    return ScanScheduler(workers=workers, backend="pool")
+
+
 class TestPoolChildren:
     def test_timeout_kills_the_child(self):
         start = time.monotonic()
         with pytest.raises(JobTimeoutError):
-            PoolBackend(workers=1).run(_hang_scan, [None], timeout=0.3)
+            _pool().run_jobs(_hang_scan, [None], timeout=0.3)
         assert time.monotonic() - start < 5.0  # killed, not waited out
 
     def test_child_error_is_reported(self):
         with pytest.raises(RuntimeError, match="boom"):
-            PoolBackend(workers=1).run(_boom_scan, [None], timeout=5.0)
+            _pool().run_jobs(_boom_scan, [None], timeout=5.0)
 
     def test_child_error_keeps_its_type_and_remote_traceback(self):
         with pytest.raises(KeyError, match="no-such-layer") as caught:
-            PoolBackend(workers=1).run(_missing_key, [None])
+            _pool().run_jobs(_missing_key, [None])
         assert "_missing_key" in str(caught.value.__cause__)
 
     def test_unrebuildable_child_error_becomes_runtime_error(self):
         with pytest.raises(RuntimeError, match="_TwoArgError: conv1: exploded"):
-            PoolBackend(workers=1).run(_two_arg_error, [None])
+            _pool().run_jobs(_two_arg_error, [None])
 
     def test_sigkilled_job_is_retried(self, tmp_path):
-        metrics = ServiceMetrics()
-        results = PoolBackend(workers=2).run(
+        scheduler = _pool(workers=2)
+        results = scheduler.run_jobs(
             _sigkill_once, [(str(tmp_path / "marker"), 1), (None, 2)],
-            retries=1, metrics=metrics)
+            retries=1)
         assert results == [2, 4]
-        assert metrics.retries == 1 and metrics.failures == 0
+        assert scheduler.metrics.retries == 1
+        assert scheduler.metrics.failures == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_hung_jobs_are_killed_and_retried_ahead_of_the_queue(
@@ -298,20 +308,29 @@ class TestPoolChildren:
         # Every worker starts on a job that hangs once; the quick job queued
         # behind them still runs, and the hung jobs succeed on retry.
         hung = [(str(tmp_path / f"marker{i}"), i) for i in range(workers)]
-        metrics = ServiceMetrics()
+        scheduler = _pool(workers=workers)
         start = time.monotonic()
-        results = PoolBackend(workers=workers).run(
-            _hang_once, hung + [(None, 99)], timeout=0.5, retries=1,
-            metrics=metrics)
+        results = scheduler.run_jobs(_hang_once, hung + [(None, 99)],
+                                     timeout=0.5, retries=1)
         assert results == list(range(workers)) + [99]
-        assert metrics.retries == workers
+        assert scheduler.metrics.retries == workers
         assert time.monotonic() - start < 10.0
 
     def test_timeout_leaves_no_children_behind(self):
         with pytest.raises(JobTimeoutError):
-            PoolBackend(workers=2).run(_sleep_seconds, [30, 30, 0.01],
-                                       timeout=0.3)
+            _pool(workers=2).run_jobs(_sleep_seconds, [30, 30, 0.01],
+                                      timeout=0.3)
         assert multiprocessing.active_children() == []
+
+    def test_run_reports_each_outcome_once_without_raising(self, tmp_path):
+        outcomes = PoolBackend(workers=1).run(
+            _fail_once_then_double, [(str(tmp_path / "marker"), 1)] * 2)
+        # One child per payload, in order: the first fails and leaves the
+        # marker, the second then succeeds; nothing is retried or raised.
+        (first_ok, error), second = outcomes
+        assert not first_ok and isinstance(error, RuntimeError)
+        assert str(error) == "transient"
+        assert second == (True, 2)
 
 
 # ---------------------------------------------------------------------- #

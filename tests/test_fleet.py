@@ -3,17 +3,20 @@
 Three layers, matching the guarantees :mod:`repro.service.fleet` documents:
 
 * deterministic :class:`FleetQueue` unit tests driven by an injected fake
-  clock — acquire/renew/expire/requeue transitions, retry budgets,
-  ownership checks across independent queue instances;
+  clock — acquire/renew/expire/fail transitions and ownership checks
+  across independent queue instances;
 * a hypothesis rule-based state machine interleaving submit / acquire /
   renew / complete / error / time-advance and asserting the two fleet
   invariants after every step: **no double ownership** (a stale owner can
-  never publish over the current one) and **no lost jobs** (every
-  submitted job stays visible and terminates ``done`` or ``failed``
-  within its retry budget);
+  never publish over the current one, and a job is leased at most once)
+  and **no lost jobs** (every submitted job stays visible and terminates
+  ``done`` or ``failed``);
 * a kill-a-worker-mid-scan integration test: a real ``python -m repro
-  worker`` subprocess is SIGKILLed while holding a lease, and the job is
-  requeued on expiry and completed by a second worker process.
+  worker`` subprocess is SIGKILLed while holding a lease, its job fails on
+  expiry, and the planning core's resubmission is completed by a second
+  worker process;
+* one retry contract driven through ``ScanScheduler.run_jobs`` on the
+  inline, pool and fleet backends alike.
 """
 
 from __future__ import annotations
@@ -37,18 +40,22 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.service.cli import main as cli_main
 from repro.service.fleet import (
-    DEFAULT_TENANT,
     FleetBackend,
     FleetQueue,
+    FleetWorker,
+    JobKind,
     LeaseLostError,
     fleet_dir,
     fleet_snapshot,
     kind_for,
     probe_job,
+    register_kind,
     run_worker,
 )
-from repro.service.planning import JobTimeoutError, ServiceMetrics
+from repro.service.planning import JobTimeoutError
+from repro.service.scheduler import ScanScheduler
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -92,7 +99,6 @@ class TestFleetQueue:
         claim = queue.acquire("w1", pid=101, lease_seconds=LEASE)
         assert claim is not None
         assert claim.job_id == first  # FIFO within a priority
-        assert claim.attempts == 1
         queue.complete(first, "w1", {"value": 1, "pid": 101})
         state = queue.poll([first, second])
         assert state[first].status == "done"
@@ -119,56 +125,50 @@ class TestFleetQueue:
         queue.complete(fast, "w1", {})
         assert queue.acquire("w1", pid=1, lease_seconds=LEASE).job_id == slow
 
-    def test_expired_lease_requeues_to_second_worker(self, store, clock):
+    def test_expired_lease_fails_and_stale_owner_cannot_publish(
+            self, store, clock):
         queue = make_queue(store, clock)
-        job_id = queue.submit("probe", {"value": 9}, retries=1)
+        job_id = queue.submit("probe", {"value": 9})
         queue.acquire("w1", pid=1, lease_seconds=LEASE)
         clock.advance(LEASE + 1)
-        # Any reader requeues: w2's acquire reaps w1's expired lease and
-        # then claims the very job it just requeued.
-        claim = queue.acquire("w2", pid=2, lease_seconds=LEASE)
-        assert claim is not None and claim.job_id == job_id
-        assert claim.attempts == 2
+        # Any reader fails the expired lease: w2's acquire reaps it and
+        # finds nothing to claim — the job is never leased twice.
+        assert queue.acquire("w2", pid=2, lease_seconds=LEASE) is None
         with pytest.raises(LeaseLostError):
             queue.complete(job_id, "w1", {"stale": True})
-        queue.complete(job_id, "w2", {"value": 9})
         job = queue.poll([job_id])[job_id]
-        assert job.status == "done"
-        assert job.result == {"value": 9}
+        assert job.status == "failed" and job.expired is True
+        assert job.result is None
         snapshot = queue.snapshot()
-        assert snapshot["leases_requeued_total"] == 1
         assert snapshot["leases_expired_total"] == 1
+        assert snapshot["jobs_failed"] == 1
 
     def test_expiry_past_retry_budget_fails_terminally(self, store, clock):
         queue = make_queue(store, clock)
-        job_id = queue.submit("probe", {}, retries=0)
+        job_id = queue.submit("probe", {})
         queue.acquire("w1", pid=1, lease_seconds=LEASE)
         clock.advance(LEASE + 1)
         job = queue.poll([job_id])[job_id]
         assert job.status == "failed"
         assert job.expired is True
-        assert job.attempts == 1
         assert "lease expired" in job.error
 
-    def test_error_within_budget_requeues_then_fails(self, store, clock):
+    def test_error_fails_the_job(self, store, clock):
         queue = make_queue(store, clock)
-        job_id = queue.submit("probe", {}, retries=1)
+        job_id = queue.submit("probe", {})
         queue.acquire("w1", pid=1, lease_seconds=LEASE)
-        queue.error(job_id, "w1", "boom one")
-        job = queue.poll([job_id])[job_id]
-        assert job.status == "queued"
-        assert job.attempt_errors == ["boom one"]
-        queue.acquire("w2", pid=2, lease_seconds=LEASE)
-        queue.error(job_id, "w2", "boom two")
+        queue.error(job_id, "w1", "boom")
         job = queue.poll([job_id])[job_id]
         assert job.status == "failed"
         assert job.expired is False
-        assert job.error == "boom two"
-        assert job.attempts == 2
+        assert job.error == "boom"
+        assert queue.acquire("w2", pid=2, lease_seconds=LEASE) is None
+        with pytest.raises(LeaseLostError):
+            queue.error(job_id, "w1", "again")
 
     def test_renew_extends_the_deadline(self, store, clock):
         queue = make_queue(store, clock)
-        job_id = queue.submit("probe", {}, retries=1)
+        job_id = queue.submit("probe", {})
         queue.acquire("w1", pid=1, lease_seconds=LEASE)
         clock.advance(LEASE - 2)
         deadline = queue.renew(job_id, "w1", LEASE)
@@ -176,7 +176,7 @@ class TestFleetQueue:
         clock.advance(LEASE - 2)
         assert queue.poll([job_id])[job_id].status == "leased"
         clock.advance(3)
-        assert queue.poll([job_id])[job_id].status == "queued"
+        assert queue.poll([job_id])[job_id].status == "failed"
         with pytest.raises(LeaseLostError):
             queue.renew(job_id, "w1", LEASE)
 
@@ -184,17 +184,17 @@ class TestFleetQueue:
         """Two FleetQueue objects sharing a directory see one state."""
         q1 = make_queue(store, clock, reader_id="r1")
         q2 = make_queue(store, clock, reader_id="r2")
-        job_id = q1.submit("probe", {"value": 3}, retries=1)
+        job_id = q1.submit("probe", {"value": 3})
+        assert q2.poll([job_id])[job_id].status == "queued"
         assert q1.acquire("w1", pid=1, lease_seconds=LEASE).job_id == job_id
         # No double ownership: a second worker through a second instance
         # finds nothing queued while the lease is live.
         assert q2.acquire("w2", pid=2, lease_seconds=LEASE) is None
-        clock.advance(LEASE + 1)
-        assert q2.acquire("w2", pid=2, lease_seconds=LEASE).job_id == job_id
+        assert q2.poll([job_id])[job_id].owner == "w1"
         with pytest.raises(LeaseLostError):
-            q1.complete(job_id, "w1", {"stale": True})
-        q2.complete(job_id, "w2", {"value": 3})
-        assert q1.poll([job_id])[job_id].result == {"value": 3}
+            q2.complete(job_id, "w2", {"stale": True})
+        q1.complete(job_id, "w1", {"value": 3})
+        assert q2.poll([job_id])[job_id].result == {"value": 3}
 
     def test_snapshot_counts_and_tenant_depth(self, store, clock):
         queue = make_queue(store, clock)
@@ -233,7 +233,7 @@ class FleetLeaseMachine(RuleBasedStateMachine):
         self.clock = FakeClock()
         self.queue = FleetQueue(os.path.join(self.tmp, "store"),
                                 clock=self.clock, reader_id="machine")
-        self.retries = {}
+        self.submitted = set()
         self.completed_by = {}
         self.claims = []
 
@@ -243,17 +243,17 @@ class FleetLeaseMachine(RuleBasedStateMachine):
     def _claim(self, index):
         return self.claims[index % len(self.claims)]
 
-    @rule(retries=st.integers(0, 2), priority=st.integers(0, 2))
-    def submit(self, retries, priority):
-        job_id = self.queue.submit("probe", {}, retries=retries,
-                                   priority=priority)
-        self.retries[job_id] = retries
+    @rule(priority=st.integers(0, 2))
+    def submit(self, priority):
+        self.submitted.add(self.queue.submit("probe", {}, priority=priority))
 
     @rule(worker=st.sampled_from(WORKERS))
     def acquire(self, worker):
         claim = self.queue.acquire(worker, pid=1, lease_seconds=LEASE)
         if claim is not None:
-            assert claim.job_id in self.retries
+            assert claim.job_id in self.submitted
+            # A fleet job is one attempt: it is never leased twice.
+            assert all(job_id != claim.job_id for _, job_id in self.claims)
             job = self.queue.poll([claim.job_id])[claim.job_id]
             assert job.status == "leased" and job.owner == worker
             self.claims.append((worker, claim.job_id))
@@ -300,23 +300,22 @@ class FleetLeaseMachine(RuleBasedStateMachine):
             job = self.queue.poll([job_id])[job_id]
             assert job.owner != worker or job.status != "leased"
         else:
-            assert self.queue.poll([job_id])[job_id].status in (
-                "queued", "failed")
+            assert self.queue.poll([job_id])[job_id].status == "failed"
 
     @rule()
     def reap_via_poll(self):
         self.queue.poll()
 
     @invariant()
-    def no_lost_jobs_and_budgets_hold(self):
+    def no_lost_jobs(self):
         state = self.queue.poll()
-        assert set(self.retries) == set(state)
+        assert self.submitted == set(state)
+        claimed = {job_id for _, job_id in self.claims}
         for job_id, job in state.items():
             assert job.status in ("queued", "leased", "done", "failed")
             assert not (job.done and job.failed)
-            assert job.attempts <= self.retries[job_id] + 1
-            if job.failed:
-                assert job.attempts == self.retries[job_id] + 1
+            if job.status != "queued":
+                assert job_id in claimed  # only a leased job can end
             if job.status == "leased":
                 assert job.owner in self.WORKERS
             if job_id in self.completed_by:
@@ -344,28 +343,27 @@ class TestFleetBackend:
     def test_batch_round_trips_in_order(self, store):
         backend = FleetBackend(store, poll_interval=0.01)
         thread = self._serve(store, max_jobs=4)
-        metrics = ServiceMetrics()
-        results = backend.run(probe_job, [{"value": i} for i in range(4)],
-                              metrics=metrics)
+        outcomes = backend.run(probe_job, [{"value": i} for i in range(4)])
         thread.join(timeout=30)
-        assert [r["value"] for r in results] == [0, 1, 2, 3]
-        assert metrics.failures == 0 and metrics.retries == 0
+        assert [ok for ok, _ in outcomes] == [True] * 4
+        assert [value["value"] for _, value in outcomes] == [0, 1, 2, 3]
         snapshot = fleet_snapshot(store)
         assert snapshot["jobs_done"] == 4
         assert snapshot["jobs_failed"] == 0
 
     def test_terminal_failure_raises_and_counts(self, store):
-        backend = FleetBackend(store, poll_interval=0.01)
+        scheduler = ScanScheduler(
+            backend=FleetBackend(store, poll_interval=0.01))
         thread = self._serve(store, max_jobs=2)  # two attempts, then exit
-        metrics = ServiceMetrics()
         with pytest.raises(RuntimeError, match="induced"):
-            backend.run(probe_job, [{"fail": "induced"}], retries=1,
-                        metrics=metrics)
+            scheduler.run_jobs(probe_job, [{"fail": "induced"}], retries=1)
         thread.join(timeout=30)
-        assert metrics.failures == 1
-        assert metrics.retries == 1  # second attempt consumed the budget
-        job = FleetQueue(store).poll().popitem()[1]
-        assert job.status == "failed" and job.attempts == 2
+        assert scheduler.metrics.failures == 1
+        assert scheduler.metrics.retries == 1  # the resubmission
+        # Each attempt was its own fleet job, and each failed.
+        jobs = FleetQueue(store).poll().values()
+        assert [job.status for job in jobs] == ["failed", "failed"]
+        assert all("induced" in job.error for job in jobs)
 
     def test_tenant_is_stamped_on_submitted_jobs(self, store):
         backend = FleetBackend(store, poll_interval=0.01)
@@ -397,7 +395,7 @@ class TestFleetBackend:
 
 
 class TestKillWorkerMidScan:
-    """A SIGKILLed worker's lease expires, requeues, and a survivor finishes."""
+    """A SIGKILLed worker's lease expires; the resubmitted job finishes."""
 
     def _spawn_worker(self, store):
         env = dict(os.environ)
@@ -422,38 +420,53 @@ class TestKillWorkerMidScan:
 
     def test_killed_worker_job_requeues_and_survivor_completes(self, store):
         queue = FleetQueue(store, reader_id="test")
-        job_id = queue.submit("probe", {"sleep": 2.0, "value": 42},
-                              retries=1)
+        scheduler = ScanScheduler(
+            backend=FleetBackend(store, poll_interval=0.05))
+        outcome = {}
+
+        def submit():
+            try:
+                outcome["results"] = scheduler.run_jobs(
+                    probe_job, [{"sleep": 2.0, "value": 42}], retries=1)
+            except Exception as error:  # noqa: BLE001 - captured for asserts
+                outcome["error"] = error
+
+        submitter = threading.Thread(target=submit, daemon=True)
+        submitter.start()
         victim = self._spawn_worker(store)
         survivor = None
         try:
-            owner = self._wait_for(
-                lambda: queue.poll([job_id])[job_id].owner, timeout=30,
+            killed_id = self._wait_for(
+                lambda: next((job_id for job_id, job in queue.poll().items()
+                              if job.owner), None), timeout=30,
                 message="worker never leased the probe job")
             victim.send_signal(signal.SIGKILL)
             victim.wait(timeout=10)
             survivor = self._spawn_worker(store)
-            job = self._wait_for(
-                lambda: (queue.poll([job_id])[job_id]
-                         if queue.poll([job_id])[job_id].status == "done"
-                         else None),
-                timeout=30,
-                message="job never completed after the worker was killed")
+            submitter.join(timeout=60)
         finally:
             for proc in (victim, survivor):
                 if proc is not None and proc.poll() is None:
                     proc.kill()
                     proc.wait(timeout=10)
-        assert job.attempts == 2  # killed attempt + surviving attempt
-        assert job.result["value"] == 42
-        assert job.result["pid"] == survivor.pid
-        assert job.result["pid"] != victim.pid
-        assert owner != ""  # the victim really held the lease first
+        assert not submitter.is_alive(), "job never completed after the kill"
+        assert "error" not in outcome, outcome.get("error")
+        [result] = outcome["results"]
+        assert result["value"] == 42
+        assert result["pid"] == survivor.pid
+        assert result["pid"] != victim.pid
+        # The victim's fleet job failed as expired; the core resubmitted
+        # the payload once as a new fleet job, which the survivor ran.
+        state = queue.poll()
+        assert state[killed_id].status == "failed"
+        assert state[killed_id].expired is True
+        assert len(state) == 2
+        assert scheduler.metrics.retries == 1
+        assert scheduler.metrics.failures == 0
         snapshot = fleet_snapshot(store)
-        assert snapshot["leases_requeued_total"] >= 1
         assert snapshot["leases_expired_total"] >= 1
         assert snapshot["jobs_done"] == 1
-        assert snapshot["jobs_failed"] == 0
+        assert snapshot["jobs_failed"] == 1
 
     def test_worker_cli_reports_jobs_executed(self, store):
         queue = FleetQueue(store, reader_id="test")
@@ -464,6 +477,22 @@ class TestKillWorkerMidScan:
         assert job.status == "done"
         assert job.result["value"] == 7
         assert job.result["pid"] == worker.pid
+
+
+class TestLeaseDuration:
+    """A lease must outlive its acquire: non-positive durations are refused."""
+
+    @pytest.mark.parametrize("seconds", [0, -1.5])
+    def test_worker_rejects_non_positive_lease(self, store, seconds):
+        with pytest.raises(ValueError, match="lease_seconds must be > 0"):
+            FleetWorker(store, lease_seconds=seconds)
+
+    def test_worker_cli_rejects_zero_lease(self, store, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["worker", store, "--lease-seconds", "0"])
+        assert exit_info.value.code == 2
+        assert "--lease-seconds: must be > 0" in capsys.readouterr().err
+        assert not os.path.isdir(fleet_dir(store))
 
 
 class TestExpiredLeaseBackendSemantics:
@@ -479,10 +508,11 @@ class TestExpiredLeaseBackendSemantics:
         # Lease the lone job, then let it expire with no retries left: the
         # submitter's own poll reaps it into a terminal expiry failure.
         result = {}
+        scheduler = ScanScheduler(backend=backend)
 
         def submit_and_wait():
             try:
-                backend.run(probe_job, [{"value": 1}], retries=0)
+                scheduler.run_jobs(probe_job, [{"value": 1}], retries=0)
             except Exception as error:  # noqa: BLE001 - captured for asserts
                 result["error"] = error
 
@@ -504,3 +534,62 @@ class TestExpiredLeaseBackendSemantics:
                 return
             time.sleep(0.01)
         raise AssertionError("job never appeared in the fleet queue")
+
+
+def _fails_once(payload):
+    """Fails on its first attempt (marker unset), then doubles its value."""
+    if not os.path.exists(payload["marker"]):
+        with open(payload["marker"], "w") as handle:
+            handle.write("attempted")
+        raise RuntimeError("transient failure")
+    return payload["value"] * 2
+
+
+def _always_fails(payload):
+    """Logs one line per attempt, then fails."""
+    with open(payload["log"], "a") as handle:
+        handle.write("attempt\n")
+    raise RuntimeError("permanent failure")
+
+
+for _job in (_fails_once, _always_fails):
+    register_kind(JobKind(name=f"test{_job.__name__}", fn=_job,
+                          encode=dict, decode=dict,
+                          encode_result=lambda value: value,
+                          decode_result=lambda value: value))
+
+
+class TestRetryContract:
+    """One retry budget, counted the same way, whichever backend runs it."""
+
+    @pytest.mark.parametrize("backend", ["inline", "pool", "fleet"])
+    def test_retries_and_failures_match_across_backends(self, backend, store,
+                                                        tmp_path):
+        worker = None
+        if backend == "fleet":
+            worker = threading.Thread(
+                target=run_worker, args=(store,),
+                kwargs={"max_jobs": 4, "lease_seconds": 5.0,
+                        "poll_interval": 0.01},
+                daemon=True)
+            worker.start()
+            scheduler = ScanScheduler(
+                backend=FleetBackend(store, poll_interval=0.01))
+        else:
+            scheduler = ScanScheduler(workers=2, backend=backend)
+        results = scheduler.run_jobs(
+            _fails_once, [{"marker": str(tmp_path / "marker"), "value": 21}],
+            retries=1)
+        assert results == [42]
+        metrics = scheduler.metrics
+        assert (metrics.retries, metrics.failures) == (1, 0)
+
+        log = tmp_path / "attempts.log"
+        with pytest.raises(RuntimeError, match="permanent failure") as caught:
+            scheduler.run_jobs(_always_fails, [{"log": str(log)}], retries=1)
+        assert type(caught.value) is RuntimeError
+        assert log.read_text().count("attempt") == 2
+        assert (metrics.retries, metrics.failures) == (2, 1)
+        if worker is not None:
+            worker.join(timeout=30)
+            assert not worker.is_alive()

@@ -8,9 +8,11 @@ Four phases, each against its own temp store:
    (real ``python -m repro worker`` subprocesses), and asserts the fleet
    verdicts are identical to the serial ones and that every submitted fleet
    job ended ``done`` (none lost, none failed).
-2. **Kill a worker mid-job.**  SIGKILLs a worker while it holds a lease on a
-   sleeping probe job and asserts the lease expires, the job is requeued
-   within its retry budget, and a freshly started worker completes it.
+2. **Kill a worker mid-job.**  Submits a sleeping probe job through
+   ``ScanScheduler.run_jobs(retries=1)`` on a fleet backend, SIGKILLs the
+   worker holding its lease, and asserts the lease expires (that fleet job
+   ends ``failed``), the planning core resubmits the payload, and a freshly
+   started worker completes it.
 3. **HTTP fleet scan with a stitched trace.**  Boots an
    :class:`~repro.service.api.ApiServer` with ``backend="fleet"``, serves a
    ``thorough`` strategy scan through single-job workers, and asserts the
@@ -30,6 +32,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.request
 
@@ -42,7 +45,8 @@ from repro.models import build_model  # noqa: E402
 from repro.nn.serialization import save_model  # noqa: E402
 from repro.obs import parse_prometheus_text  # noqa: E402
 from repro.service.api import ApiServer  # noqa: E402
-from repro.service.fleet import FleetQueue, fleet_snapshot  # noqa: E402
+from repro.service.fleet import (FleetBackend, FleetQueue,  # noqa: E402
+                                 fleet_snapshot, probe_job)
 from repro.service.records import ScanRequest  # noqa: E402
 from repro.service.scheduler import ScanScheduler  # noqa: E402
 from repro.service.store import ShardedResultStore  # noqa: E402
@@ -54,7 +58,6 @@ FLEET_FAMILIES = (
     "repro_fleet_workers_live",
     "repro_fleet_leases_held",
     "repro_fleet_leases_expired_total",
-    "repro_fleet_leases_requeued_total",
     "repro_fleet_jobs_done_total",
     "repro_fleet_jobs_failed_total",
     "repro_fleet_queue_depth",
@@ -143,38 +146,52 @@ def _phase_parity(tmp: str, checkpoints) -> int:
 
 
 def _phase_kill_worker(tmp: str) -> int:
-    """Phase 2: SIGKILL a leased worker; expiry requeues; a survivor finishes."""
+    """Phase 2: SIGKILL a leased worker; its job expires and is resubmitted."""
     store = os.path.join(tmp, "store_kill")
     queue = FleetQueue(store, reader_id="smoke")
-    job_id = queue.submit("probe", {"sleep": 2.0, "value": 7}, retries=1)
+    scheduler = ScanScheduler(backend=FleetBackend(store, poll_interval=0.05))
+    outcome = {}
+
+    def submit() -> None:
+        try:
+            outcome["results"] = scheduler.run_jobs(
+                probe_job, [{"sleep": 2.0, "value": 7}], retries=1)
+        # The submitter thread hands any failure to the main thread, which
+        # reports it as the phase's failure.
+        except Exception as error:  # repro-lint: disable=exception-hygiene
+            outcome["error"] = error
+
+    submitter = threading.Thread(target=submit, daemon=True)
+    submitter.start()
     victim = _spawn_worker(store, "--lease-seconds", "0.6", "--max-jobs", "1")
     survivor = None
     try:
-        _wait_for(lambda: queue.poll([job_id])[job_id].owner, 30,
-                  "no worker ever leased the probe job")
+        killed_id = _wait_for(
+            lambda: next((job_id for job_id, job in queue.poll().items()
+                          if job.owner), None),
+            30, "no worker ever leased the probe job")
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=10)
         survivor = _spawn_worker(store, "--lease-seconds", "0.6",
                                  "--max-jobs", "1")
-        job = _wait_for(
-            lambda: (queue.poll([job_id])[job_id]
-                     if queue.poll([job_id])[job_id].status == "done"
-                     else None),
-            30, "job never completed after its worker was killed")
+        submitter.join(timeout=60)
     finally:
         _reap([victim, survivor] if survivor else [victim])
-    if job.attempts != 2:
-        return _fail(f"expected 2 attempts (killed + survivor), "
-                     f"got {job.attempts}")
-    if job.result["pid"] != survivor.pid:
-        return _fail(f"result pid {job.result['pid']} is not the "
-                     f"survivor's ({survivor.pid})")
+    if submitter.is_alive() or "error" in outcome:
+        return _fail(f"job never completed after its worker was killed: "
+                     f"{outcome.get('error')}")
+    result = outcome["results"][0]
+    if result["pid"] != survivor.pid:
+        return _fail(f"result pid {result['pid']} is not the survivor's "
+                     f"({survivor.pid})")
+    killed = queue.poll([killed_id])[killed_id]
     snapshot = fleet_snapshot(store)
-    if snapshot["leases_requeued_total"] < 1 or \
+    if killed.status != "failed" or not killed.expired or \
             snapshot["leases_expired_total"] < 1:
-        return _fail(f"kill was not recovered via lease expiry: {snapshot}")
-    print(f"  lease  : worker {victim.pid} killed mid-job; requeued on "
-          f"expiry; worker {survivor.pid} completed attempt 2")
+        return _fail(f"kill was not recovered via lease expiry: "
+                     f"{killed.status} {snapshot}")
+    print(f"  lease  : worker {victim.pid} killed mid-job; its lease "
+          f"expired; worker {survivor.pid} completed the resubmitted job")
     return 0
 
 
